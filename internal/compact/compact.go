@@ -1,11 +1,13 @@
 // Package compact implements static test-set compaction for path delay
-// fault test sets: the merged pattern sets of multi-worker generation runs
-// are measurably larger than sequential ones (cross-shard interleaved-sim
-// dropping is weaker than in-process dropping), and compaction claws the
-// difference back after the fact.
+// fault test sets.  Generation leaves redundant patterns whatever the worker
+// count: sequential runs drop faults by exclusive interval simulation,
+// multi-worker runs by claim-time sweeps, and neither yields a minimal set
+// (c880 with 3000 faults: 738 patterns at one worker, 700 at two).
+// Compaction removes the redundancy after the fact.
 //
-// Two classic passes are combined, both riding on the word-level bit
-// parallelism of the fault simulator (64 pattern pairs per simulation):
+// Two classic passes are combined, both bit-parallel: merging compares
+// pairs 64 inputs to a word on packed bit planes, and simulation runs 64
+// pattern pairs per batch:
 //
 //   - Compatible-pair merging: two pairs whose three-valued vectors never
 //     demand opposite values at the same position are merged into one pair
@@ -90,6 +92,10 @@ type Stats struct {
 	// SimDropped counts the pairs dropped by the reverse-order fault
 	// simulation pass.
 	SimDropped int
+	// Failed counts compactions that returned an error, leaving their set
+	// uncompacted (Compact itself never sets it; callers that carry on
+	// with the uncompacted set count the failure here).
+	Failed int
 }
 
 // Add accumulates another run's counters (the sharded engine merges worker
@@ -99,6 +105,7 @@ func (s *Stats) Add(o Stats) {
 	s.PairsAfter += o.PairsAfter
 	s.Merged += o.Merged
 	s.SimDropped += o.SimDropped
+	s.Failed += o.Failed
 }
 
 // Reduction returns the fractional size reduction (0..1).
@@ -111,8 +118,8 @@ func (s Stats) Reduction() float64 {
 
 // String renders a one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("pairs %d -> %d (%.1f%% smaller): merged=%d sim-dropped=%d",
-		s.PairsBefore, s.PairsAfter, s.Reduction()*100, s.Merged, s.SimDropped)
+	return fmt.Sprintf("pairs %d -> %d (%.1f%% smaller): merged=%d sim-dropped=%d failed=%d",
+		s.PairsBefore, s.PairsAfter, s.Reduction()*100, s.Merged, s.SimDropped, s.Failed)
 }
 
 // entry is one candidate pattern of the selection pool.
@@ -143,6 +150,24 @@ const maxCompactionRounds = 8
 // elimination.  fill specifies how the don't cares of merged pairs are
 // completed; nil selects ZeroFill.
 func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
+	return compactor{merge: greedyMerge, reuseDet: true}.run(c, set, faults, robust, level, fill)
+}
+
+// compactor is the compaction pipeline with its two internal choices made
+// explicit, so the differential tests can run the reference configuration
+// (byte-wise merge, every round re-simulating its input) next to the
+// production one.
+type compactor struct {
+	// merge partitions a set into buckets of compatible pairs.
+	merge func(set *pattern.Set) []*bucket
+	// reuseDet hands each round the detection bitsets of the pairs the
+	// previous round kept — exactly the next round's input pairs — instead
+	// of re-simulating them.
+	reuseDet bool
+}
+
+// run is Compact.
+func (cp compactor) run(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
 	st := Stats{PairsBefore: set.Len(), PairsAfter: set.Len()}
 	if level == None || set.Len() == 0 || len(faults) == 0 {
 		return set, st, nil
@@ -151,8 +176,9 @@ func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust 
 		fill = ZeroFill()
 	}
 	cur := set
+	var curDet []bitset
 	for round := 0; round < maxCompactionRounds; round++ {
-		out, roundStats, err := compactOnce(c, cur, faults, robust, level, fill)
+		out, outDet, roundStats, err := cp.compactOnce(c, cur, curDet, faults, robust, level, fill)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -165,20 +191,28 @@ func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust 
 		st.Merged += roundStats.Merged
 		st.SimDropped += roundStats.SimDropped
 		cur = out
+		if cp.reuseDet {
+			curDet = outDet
+		}
 	}
 	st.PairsAfter = cur.Len()
 	return cur, st, nil
 }
 
-// compactOnce runs one merge + reverse-order pass over the set.
-func compactOnce(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
+// compactOnce runs one merge + reverse-order pass over the set.  origDet
+// holds the detection bitsets of the set's pairs when the caller already
+// has them (nil: simulate them here).  Besides the compacted set it returns
+// the detection bitsets of the output pairs, in order.
+func (cp compactor) compactOnce(c *circuit.Circuit, set *pattern.Set, origDet []bitset, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, []bitset, Stats, error) {
 	var st Stats
 
 	// Detection bitsets of the input pairs: baseline is the detected-fault
 	// set the compacted output must reproduce exactly.
-	origDet, err := detections(c, set.Pairs, faults, robust)
-	if err != nil {
-		return nil, Stats{}, err
+	if origDet == nil {
+		var err error
+		if origDet, err = detections(c, set.Pairs, faults, robust); err != nil {
+			return nil, nil, Stats{}, err
+		}
 	}
 	baseline := newBitset(len(faults))
 	for p := range origDet {
@@ -187,9 +221,10 @@ func compactOnce(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, rob
 
 	var pool []entry
 	if level == Full {
-		pool, err = mergedPool(c, set, faults, robust, fill, origDet, baseline, &st)
+		var err error
+		pool, err = cp.mergedPool(c, set, faults, robust, fill, origDet, baseline, &st)
 		if err != nil {
-			return nil, Stats{}, err
+			return nil, nil, Stats{}, err
 		}
 	} else {
 		pool = make([]entry, set.Len())
@@ -214,6 +249,7 @@ func compactOnce(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, rob
 	st.SimDropped = len(pool) - kept
 
 	out := &pattern.Set{InputNames: set.InputNames}
+	outDet := make([]bitset, 0, kept)
 	trackOut := set.Unfilled != nil || level == Full
 	for i, e := range pool {
 		if !keep[i] {
@@ -224,9 +260,10 @@ func compactOnce(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, rob
 		} else {
 			out.Add(e.filled, e.target)
 		}
+		outDet = append(outDet, e.det)
 	}
 	st.PairsAfter = out.Len()
-	return out, st, nil
+	return out, outDet, st, nil
 }
 
 // poolEntry builds the pool entry of input pair i.
@@ -244,8 +281,11 @@ func poolEntry(set *pattern.Set, i int, det bitset) entry {
 // baseline (changing coverage) is rejected in favour of its members.
 // Singleton buckets keep their original filled pair (and its detections)
 // bit for bit.
-func mergedPool(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, fill Filler, origDet []bitset, baseline bitset, st *Stats) ([]entry, error) {
-	buckets := greedyMerge(set)
+func (cp compactor) mergedPool(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, fill Filler, origDet []bitset, baseline bitset, st *Stats) ([]entry, error) {
+	if err := checkUnfilledWidths(set, len(c.Inputs())); err != nil {
+		return nil, err
+	}
+	buckets := cp.merge(set)
 
 	// Re-fill and re-simulate the true merges in one parallel-pattern run.
 	var mergedPairs []pattern.Pair
@@ -305,6 +345,18 @@ func mergedPool(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robu
 		})
 	}
 	return pool, nil
+}
+
+// checkUnfilledWidths reports an error unless every unfilled form of the set
+// has one value per input in both vectors.  The filled pairs are checked by
+// the fault simulator; the unfilled forms only meet the merge.
+func checkUnfilledWidths(set *pattern.Set, inputs int) error {
+	for i := range set.Pairs {
+		if u := set.UnfilledAt(i); len(u.V1) != inputs || len(u.V2) != inputs {
+			return fmt.Errorf("compact: unfilled pair %d has %d/%d values for %d inputs", i, len(u.V1), len(u.V2), inputs)
+		}
+	}
+	return nil
 }
 
 // detections fault-simulates the pairs (in batches of faultsim.BatchSize)

@@ -3,6 +3,7 @@ package compact_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -91,7 +92,13 @@ func TestFillers(t *testing.T) {
 
 // generate runs the bit-parallel generator with unfilled-pair tracking and
 // returns the circuit, fault sample and generated set.
-func generate(t *testing.T, name string, n int, mode sensitize.Mode) (*circuit.Circuit, []paths.Fault, *pattern.Set) {
+func generate(t testing.TB, name string, n int, mode sensitize.Mode) (*circuit.Circuit, []paths.Fault, *pattern.Set) {
+	return generateWidth(t, name, n, mode, 0)
+}
+
+// generateWidth is generate with the word width L set (0 keeps the
+// default).
+func generateWidth(t testing.TB, name string, n int, mode sensitize.Mode, width int) (*circuit.Circuit, []paths.Fault, *pattern.Set) {
 	t.Helper()
 	c, err := bench.Get(name)
 	if err != nil {
@@ -100,6 +107,9 @@ func generate(t *testing.T, name string, n int, mode sensitize.Mode) (*circuit.C
 	faults := paths.SampleFaults(c, n, 7)
 	opts := core.DefaultOptions(mode)
 	opts.EmitUnfilled = true
+	if width > 0 {
+		opts.WordWidth = width
+	}
 	g := core.New(c, opts)
 	g.Run(context.Background(), faults)
 	return c, faults, g.TestSet()
@@ -257,21 +267,66 @@ func TestCompactNoneAndEmpty(t *testing.T) {
 	}
 }
 
+// TestCompactRejectsUnfilledWidthMismatch pins that a set whose recorded
+// unfilled forms do not match the circuit's inputs is reported as an error
+// by the merging level (the filled pairs alone are fine, so the fault
+// simulator does not catch it).
+func TestCompactRejectsUnfilledWidthMismatch(t *testing.T) {
+	c, err := bench.Get("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := paths.EnumerateFaults(c, 0)
+	n := len(c.Inputs())
+	set := &pattern.Set{}
+	set.AddUnfilled(pattern.NewPair(n).FillX(logic.Zero3), pattern.NewPair(n), "")
+	set.AddUnfilled(pattern.NewPair(n).FillX(logic.Zero3), pattern.NewPair(n+64), "")
+	if _, _, err := compact.Compact(c, set, faults, true, compact.Full, nil); err == nil {
+		t.Error("Compact accepted an unfilled form 64 values wider than the circuit's inputs")
+	}
+}
+
 func TestStatsHelpers(t *testing.T) {
-	st := compact.Stats{PairsBefore: 100, PairsAfter: 60, Merged: 30, SimDropped: 10}
+	st := compact.Stats{PairsBefore: 100, PairsAfter: 60, Merged: 30, SimDropped: 10, Failed: 1}
 	if got := st.Reduction(); got != 0.4 {
 		t.Errorf("Reduction = %v, want 0.4", got)
 	}
 	var sum compact.Stats
 	sum.Add(st)
 	sum.Add(st)
-	if sum.PairsBefore != 200 || sum.PairsAfter != 120 || sum.Merged != 60 {
+	if sum.PairsBefore != 200 || sum.PairsAfter != 120 || sum.Merged != 60 || sum.Failed != 2 {
 		t.Errorf("Add: %+v", sum)
 	}
-	if s := st.String(); !strings.Contains(s, "100 -> 60") {
+	if s := st.String(); !strings.Contains(s, "100 -> 60") || !strings.Contains(s, "failed=1") {
 		t.Errorf("String: %q", s)
 	}
 	if (compact.Stats{}).Reduction() != 0 {
 		t.Error("zero stats Reduction should be 0")
+	}
+}
+
+// c2670Set is the input of BenchmarkCompactC2670Class, generated once per
+// test binary.
+var c2670Set struct {
+	once   sync.Once
+	c      *circuit.Circuit
+	faults []paths.Fault
+	set    *pattern.Set
+}
+
+// BenchmarkCompactC2670Class times a Full-level compaction of a nonrobust
+// unfilled set generated at L=256 on the c2670-class circuit; generation
+// happens outside the timer.
+func BenchmarkCompactC2670Class(b *testing.B) {
+	s := &c2670Set
+	s.once.Do(func() {
+		s.c, s.faults, s.set = generateWidth(b, "c2670", 3000, sensitize.Nonrobust, 256)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := compact.Compact(s.c, s.set, s.faults, false, compact.Full, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -29,6 +29,9 @@ func (g *Generator) compactRun(faults []paths.Fault, results []FaultResult, base
 	sub := g.testSet.Slice(base)
 	compacted, st, err := compact.Compact(g.c, sub, faults, robust, g.opts.Compaction, g.opts.CompactionXFill)
 	if err != nil {
+		// The run keeps its uncompacted set, which is still valid; the
+		// failure is counted so it does not pass for "nothing to compact".
+		g.stats.Compaction.Failed++
 		return
 	}
 	g.stats.Compaction.Add(st)

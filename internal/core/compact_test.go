@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -174,5 +175,35 @@ func TestC7552ShardedCompactionReduction(t *testing.T) {
 	if reduction < 0.20 {
 		t.Errorf("compaction reduced the set by %.1f%%, want >= 20%% (pairs %d -> %d)",
 			reduction*100, set.Len(), compacted.Len())
+	}
+}
+
+// TestCompactRunCountsFailure pins that a compaction error is not silent:
+// a set whose pairs do not match the circuit's inputs cannot be simulated,
+// so compactRun must leave the set as it was and count the failure.
+func TestCompactRunCountsFailure(t *testing.T) {
+	c, err := bench.Get("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := paths.EnumerateFaults(c, 4)
+	opts := DefaultOptions(sensitize.Robust)
+	opts.Compaction = compact.Full
+	g := New(c, opts)
+	for i := 0; i < 3; i++ {
+		// Three values for c17's five inputs.
+		g.testSet.Add(pattern.NewPair(len(c.Inputs())-2), "bad width")
+	}
+	results := make([]FaultResult, len(faults))
+	g.compactRun(faults, results, 0)
+
+	if got := g.Stats().Compaction.Failed; got != 1 {
+		t.Errorf("Compaction.Failed = %d, want 1", got)
+	}
+	if g.testSet.Len() != 3 {
+		t.Errorf("failed compaction changed the set: %d pairs, want 3", g.testSet.Len())
+	}
+	if s := g.Stats().Compaction.String(); !strings.Contains(s, "failed=1") {
+		t.Errorf("Stats.String does not report the failure: %q", s)
 	}
 }

@@ -12,6 +12,7 @@ package faultsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/circuit"
@@ -48,6 +49,8 @@ const BatchSize = logic.WordWidth
 // number of pairs loaded.  Pairs beyond BatchSize are ignored (call Load
 // again with the remainder).  Each pair must have one value per primary
 // input of the circuit.
+//
+//atpgvet:noalloc
 func (s *Simulator) Load(pairs []pattern.Pair) (int, error) {
 	n := len(pairs)
 	if n > BatchSize {
@@ -62,6 +65,7 @@ func (s *Simulator) Load(pairs []pattern.Pair) (int, error) {
 	}
 	for j := 0; j < n; j++ {
 		if pairs[j].Len() != len(inputs) {
+			//atpgvet:ignore hotalloc -- error path: a malformed batch is rejected once, never in the steady state
 			return 0, fmt.Errorf("faultsim: pair %d has %d values for %d inputs", j, pairs[j].Len(), len(inputs))
 		}
 		for i, in := range inputs {
@@ -100,13 +104,19 @@ func (s *Simulator) BatchMask() uint64 { return logic.LevelMask(s.n) }
 // whenever the on-path input of their gate changes towards the controlling
 // value, and the simulated on-path signals must carry the expected
 // transitions.
+//
+// The expected transition is carried along the path and inverted at every
+// inverting gate (the convention of paths.Fault.Transitions), so a call
+// allocates nothing.
+//
+//atpgvet:noalloc
 func (s *Simulator) Detects(f paths.Fault, robust bool) uint64 {
 	mask := s.BatchMask()
 	nets := f.Path.Nets
-	trans := f.Transitions(s.c)
+	trans := f.Transition
 
 	// The launch transition must be present at the path input.
-	mask &= s.transitionMask(nets[0], trans[0])
+	mask &= s.transitionMask(nets[0], trans)
 	if mask == 0 {
 		return 0
 	}
@@ -114,9 +124,14 @@ func (s *Simulator) Detects(f paths.Fault, robust bool) uint64 {
 	for i := 1; i < len(nets) && mask != 0; i++ {
 		g := s.c.Gate(nets[i])
 		onPath := nets[i-1]
+		// in is the transition arriving on the on-path input of gate i.
+		in := trans
+		if g.Kind.Inverting() {
+			trans = trans.Invert()
+		}
 		if robust {
 			// The transition must propagate along the path.
-			mask &= s.transitionMask(nets[i], trans[i])
+			mask &= s.transitionMask(nets[i], trans)
 			if mask == 0 {
 				return 0
 			}
@@ -130,7 +145,7 @@ func (s *Simulator) Detects(f paths.Fault, robust bool) uint64 {
 				seenOnPath = true
 				continue
 			}
-			mask &= s.sideInputMask(g.Kind, fanin, trans[i-1], robust)
+			mask &= s.sideInputMask(g.Kind, fanin, in, robust)
 			if mask == 0 {
 				return 0
 			}
@@ -210,7 +225,7 @@ func Run(c *circuit.Circuit, pairs []pattern.Pair, faults []paths.Fault, robust 
 			}
 			if mask := sim.Detects(faults[fi], robust); mask != 0 {
 				res.Detected[fi] = true
-				res.DetectedBy[fi] = base + lowestBit(mask)
+				res.DetectedBy[fi] = base + bits.TrailingZeros64(mask)
 				res.NumDetected++
 			}
 		}
@@ -293,13 +308,4 @@ func EstimateCoverage(c *circuit.Circuit, pairs []pattern.Pair, sampleSize int, 
 	}
 	cov, err := Coverage(c, pairs, faults, robust)
 	return cov, len(faults), err
-}
-
-func lowestBit(mask uint64) int {
-	for i := 0; i < 64; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
 }

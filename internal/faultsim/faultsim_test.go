@@ -335,3 +335,110 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		t.Error("RunParallel with malformed pairs: expected an error")
 	}
 }
+
+// referenceDetects is Detects built on the materialized transition list of
+// paths.Fault.Transitions, the form the simulator used before it carried the
+// transition along the path itself.
+func referenceDetects(s *Simulator, f paths.Fault, robust bool) uint64 {
+	mask := s.BatchMask()
+	nets := f.Path.Nets
+	trans := f.Transitions(s.c)
+	mask &= s.transitionMask(nets[0], trans[0])
+	for i := 1; i < len(nets) && mask != 0; i++ {
+		g := s.c.Gate(nets[i])
+		if robust {
+			mask &= s.transitionMask(nets[i], trans[i])
+		}
+		seenOnPath := false
+		for _, fanin := range g.Fanin {
+			if fanin == nets[i-1] && !seenOnPath {
+				seenOnPath = true
+				continue
+			}
+			mask &= s.sideInputMask(g.Kind, fanin, trans[i-1], robust)
+		}
+	}
+	return mask
+}
+
+// TestDetectsMatchesTransitionsReference checks Detects against the
+// reference on every fault of c17 and adder8 and on a sample of a
+// synthesized c880, robust and nonrobust.  Random pairs rarely sensitize a
+// whole long path, so every prefix of every path is checked as a fault of
+// its own: each on-path gate then meets pairs that do reach it, and the
+// inversion at NAND, NOR, NOT and XNOR gates is exercised by masks that are
+// not zero.
+func TestDetectsMatchesTransitionsReference(t *testing.T) {
+	p, _ := bench.ProfileByName("c880")
+	c880 := bench.MustSynthesize(p)
+	for _, tc := range []struct {
+		c      *circuit.Circuit
+		faults []paths.Fault
+	}{
+		{bench.C17(), paths.EnumerateFaults(bench.C17(), 0)},
+		{bench.Adder(8), paths.EnumerateFaults(bench.Adder(8), 0)},
+		{c880, paths.SampleFaults(c880, 400, 5)},
+	} {
+		c := tc.c
+		sim := New(c)
+		// Kinds of the on-path gates that a detecting mask has passed.
+		reached := map[logic.Kind]int{}
+		for batch := int64(0); batch < 4; batch++ {
+			if _, err := sim.Load(randomPairs(c, BatchSize, 31+batch)); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range tc.faults {
+				for k := 1; k <= len(f.Path.Nets); k++ {
+					prefix := paths.Fault{Path: paths.Path{Nets: f.Path.Nets[:k]}, Transition: f.Transition}
+					for _, robust := range []bool{false, true} {
+						got, want := sim.Detects(prefix, robust), referenceDetects(sim, prefix, robust)
+						if got != want {
+							t.Fatalf("%s: %s (first %d nets), robust=%v: Detects %#x, reference %#x",
+								c.Name, f.Describe(c), k, robust, got, want)
+						}
+						if got != 0 && k > 1 {
+							reached[c.Gate(f.Path.Nets[k-1]).Kind]++
+						}
+					}
+				}
+			}
+		}
+		if c == c880 {
+			for _, kind := range []logic.Kind{logic.Nand, logic.Nor, logic.Not, logic.Xnor} {
+				if reached[kind] == 0 {
+					t.Errorf("%s: no detecting mask passed a %v gate; the check is vacuous there", c.Name, kind)
+				}
+			}
+		}
+	}
+}
+
+// TestDetectsDoesNotAllocate pins Load and Detects at zero allocations on a
+// loaded batch, the steady state of every claim sweep and compaction pass.
+func TestDetectsDoesNotAllocate(t *testing.T) {
+	p, _ := bench.ProfileByName("c880")
+	c := bench.MustSynthesize(p)
+	faults := paths.SampleFaults(c, 200, 3)
+	pairs := randomPairs(c, BatchSize, 17)
+	sim := New(c)
+	if _, err := sim.Load(pairs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, f := range faults {
+			sim.Detects(f, true)
+			sim.Detects(f, false)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Detects: %v allocs per sweep of %d faults, want 0", allocs, len(faults))
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := sim.Load(pairs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Load: %v allocs per batch, want 0", allocs)
+	}
+}
