@@ -50,7 +50,7 @@ func main() {
 		exchangeCap   = flag.Int("exchange-cap", 4096, "bound on the buffered cross-worker pattern exchange (oldest dropped first)")
 		maxActive     = flag.Int("max-active", 4, "jobs generating concurrently; further jobs queue")
 		cacheSize     = flag.Int("cache", 0, "compiled-circuit cache capacity (0 = default)")
-		unitsPerLease = flag.Int("units-per-lease", 4, "max work units handed out per lease request")
+		unitsPerLease = flag.Int("units-per-lease", 4, "work units handed out per lease when the request names no count (atpgd workers always send -max-units)")
 
 		// Worker flags.
 		coordinator = flag.String("coordinator", "http://127.0.0.1:9090", "coordinator base URL (worker role)")

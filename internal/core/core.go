@@ -116,20 +116,9 @@ type Options struct {
 	// UseAPTPG enables the alternative-parallel second phase.  With both
 	// phases disabled every fault is aborted, so at least one should be on.
 	UseAPTPG bool
-	// MaxEnumInputs caps the number of primary inputs enumerated in parallel
-	// by APTPG.  Zero or negative means log2(WordWidth) clamped to the
-	// machine word's log2(64) = 6, the paper's limit: alternative enumeration
-	// beyond one machine word pays the multi-word plane cost on every
-	// implication of a single-fault search, which measures as a loss, so
-	// widths above 64 keep their width for the fault-parallel phase but
-	// enumerate alternatives one word at a time unless this cap is raised
-	// explicitly.
-	MaxEnumInputs int
 	// MaxBacktracks bounds the conventional backtracks per fault in APTPG
 	// before the fault is aborted.
 	MaxBacktracks int
-	// MaxFPTPGIterations bounds the decision rounds per FPTPG group.
-	MaxFPTPGIterations int
 	// FaultSimInterval runs parallel-pattern fault simulation over the
 	// pending faults after every FaultSimInterval generated patterns and
 	// drops the detected ones; 0 disables it.  The paper simulates after
@@ -151,12 +140,6 @@ type Options struct {
 	// is retained as the oracle the incremental engine is validated against
 	// (see equiv tests); production runs leave it off.
 	FullSweepImplic bool
-	// VerifyTests re-simulates every generated pattern and downgrades the
-	// fault to Aborted if the pattern does not actually detect it.  Enabled
-	// by default; it is cheap and guards against generator bugs.
-	VerifyTests bool
-	// FillValue is used for primary inputs the test does not constrain.
-	FillValue logic.Value3
 	// Compaction selects the static compaction pass applied to a run's
 	// freshly generated patterns after the (sharded) merge: compatible-pair
 	// merging and/or reverse-order fault simulation (see internal/compact).
@@ -204,18 +187,14 @@ type Options struct {
 // simulation after every L patterns and moderate abort limits.
 func DefaultOptions(mode sensitize.Mode) Options {
 	return Options{
-		Mode:               mode,
-		WordWidth:          logic.WordWidth,
-		UseFPTPG:           true,
-		UseAPTPG:           true,
-		MaxEnumInputs:      0,
-		MaxBacktracks:      8,
-		MaxFPTPGIterations: 128,
-		FaultSimInterval:   logic.WordWidth,
-		SubpathPruning:     true,
-		MaxImplySweeps:     3,
-		VerifyTests:        true,
-		FillValue:          logic.Zero3,
+		Mode:             mode,
+		WordWidth:        logic.WordWidth,
+		UseFPTPG:         true,
+		UseAPTPG:         true,
+		MaxBacktracks:    8,
+		FaultSimInterval: logic.WordWidth,
+		SubpathPruning:   true,
+		MaxImplySweeps:   3,
 	}
 }
 
@@ -237,20 +216,8 @@ func (o Options) normalize() Options {
 	if o.WordWidth > logic.MaxWordWidth {
 		o.WordWidth = logic.MaxWordWidth
 	}
-	if o.MaxEnumInputs <= 0 {
-		o.MaxEnumInputs = log2(o.WordWidth)
-		if o.MaxEnumInputs > log2(logic.WordWidth) {
-			o.MaxEnumInputs = log2(logic.WordWidth)
-		}
-	}
 	if o.MaxBacktracks <= 0 {
 		o.MaxBacktracks = 8
-	}
-	if o.MaxFPTPGIterations <= 0 {
-		o.MaxFPTPGIterations = 128
-	}
-	if !o.FillValue.IsAssigned() {
-		o.FillValue = logic.Zero3
 	}
 	if o.Compaction == compact.Full {
 		o.EmitUnfilled = true
@@ -301,6 +268,19 @@ func (o Options) passes() []PassSpec {
 	}
 	return []PassSpec{{Width: o.WordWidth, Budget: o.MaxBacktracks, Final: true}}
 }
+
+// maxEnumInputs is the number of primary inputs APTPG enumerates in
+// parallel: log2(WordWidth) clamped to the machine word's log2(64) = 6, the
+// paper's limit.  Alternative enumeration beyond one machine word pays the
+// multi-word plane cost on every implication of a single-fault search, which
+// measures as a loss, so widths above 64 keep their width for the
+// fault-parallel phase but enumerate alternatives one word at a time.
+func (o Options) maxEnumInputs() int {
+	return min(log2(o.WordWidth), log2(logic.WordWidth))
+}
+
+// maxFPTPGIterations bounds the decision rounds per FPTPG group.
+const maxFPTPGIterations = 128
 
 func log2(n int) int {
 	l := 0

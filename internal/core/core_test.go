@@ -446,11 +446,11 @@ func TestStatusAndOptionHelpers(t *testing.T) {
 		t.Error("Phase.String wrong")
 	}
 	o := Options{Mode: sensitize.Robust, WordWidth: 200, MaxBacktracks: -1}.normalize()
-	if o.WordWidth != 200 || o.MaxBacktracks <= 0 || o.MaxEnumInputs != 6 {
+	if o.WordWidth != 200 || o.MaxBacktracks <= 0 || o.maxEnumInputs() != 6 {
 		t.Errorf("normalize gave %+v", o)
 	}
 	o = Options{Mode: sensitize.Robust, WordWidth: 4 * logic.MaxWordWidth}.normalize()
-	if o.WordWidth != logic.MaxWordWidth || o.MaxEnumInputs != 6 {
+	if o.WordWidth != logic.MaxWordWidth || o.maxEnumInputs() != 6 {
 		t.Errorf("normalize gave %+v", o)
 	}
 	o = Options{Mode: sensitize.Robust, EscalationWidth: 4 * logic.MaxWordWidth}.normalize()
@@ -458,7 +458,7 @@ func TestStatusAndOptionHelpers(t *testing.T) {
 		t.Errorf("normalize gave %+v", o)
 	}
 	o = Options{WordWidth: 0}.normalize()
-	if o.WordWidth != 1 || o.MaxEnumInputs != 0 {
+	if o.WordWidth != 1 || o.maxEnumInputs() != 0 {
 		t.Errorf("normalize gave %+v", o)
 	}
 	if log2(64) != 6 || log2(1) != 0 || log2(32) != 5 {

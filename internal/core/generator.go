@@ -442,7 +442,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 		alive = alive.AndNot(newConf)
 	}
 
-	for iter := 0; !alive.IsZero() && iter < g.opts.MaxFPTPGIterations; iter++ {
+	for iter := 0; !alive.IsZero() && iter < maxFPTPGIterations; iter++ {
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -622,10 +622,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec, ps PassSpec) {
 		return
 	}
 	width := ps.Width
-	maxEnum := log2(width)
-	if maxEnum > g.opts.MaxEnumInputs {
-		maxEnum = g.opts.MaxEnumInputs
-	}
+	maxEnum := min(log2(width), g.opts.maxEnumInputs())
 	// The enumeration distinguishes at most 2^maxEnum value combinations;
 	// bit levels beyond that replay duplicates of the first 2^maxEnum (see
 	// enumWord), so the active mask is narrowed to the alternatives the
@@ -850,8 +847,8 @@ func (g *Generator) enumWord(idx, width int) logic.Word7V {
 // assignments of the given bit level.  It returns both the filled test and
 // its X-preserving (pre-fill) form: inputs the justification never
 // constrained stay X in the raw pair, which is what static compaction
-// merges on.  Applying FillX(FillValue) to the raw pair reproduces the
-// filled pair exactly.
+// merges on.  Applying FillX(Zero3) to the raw pair reproduces the filled
+// pair exactly.
 func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair) {
 	inputs := g.c.Inputs()
 	raw = pattern.NewPair(len(inputs))
@@ -882,7 +879,7 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 			}
 		}
 	}
-	return raw.FillX(g.opts.FillValue), raw
+	return raw.FillX(logic.Zero3), raw
 }
 
 // emitTest extracts, verifies and records a test for the fault from the
@@ -890,7 +887,7 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 // verification rejects the pattern.
 func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 	p, raw := g.extractPattern(r, level)
-	if g.opts.VerifyTests && !g.verifyPattern(r.fault, p) {
+	if !g.verifyPattern(r.fault, p) {
 		return false
 	}
 	idx := g.testSet.Len()

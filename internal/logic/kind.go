@@ -12,7 +12,10 @@
 // per bit level.  Each plane is a uint64; bit i of every plane belongs to bit
 // level i.  Gate evaluation, implication and conflict detection then operate
 // on whole planes with word-wide boolean operations, so all 64 bit levels are
-// processed by a handful of machine instructions.
+// processed by a handful of machine instructions.  Only the seven-valued
+// logic has bit-parallel words (Word7, and the K-word Word7V): nonrobust
+// generation runs on them too, requiring final values only, so the
+// three-valued logic is kept as the scalar Value3/Eval3 reference.
 package logic
 
 import "fmt"

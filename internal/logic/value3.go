@@ -95,10 +95,10 @@ func ParseValue3(s string) (Value3, error) {
 }
 
 // Eval3 evaluates a gate of the given kind over scalar three-valued inputs.
-// It is the scalar reference implementation against which the bit-parallel
-// evaluation in Word3 is cross-checked by the test suite.  Conflict inputs
-// propagate pessimistically: the result of any gate with a conflicting input
-// is itself a conflict, which mirrors the plane formulas.
+// It is the Table 1 reference against which the value planes of the
+// bit-parallel Word7 evaluation are cross-checked by the test suite.
+// Conflict inputs propagate pessimistically: the result of any gate with a
+// conflicting input is itself a conflict, which mirrors the plane formulas.
 func Eval3(kind Kind, in ...Value3) Value3 {
 	for _, v := range in {
 		if v.IsConflict() {

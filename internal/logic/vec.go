@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// This file generalizes the scalar 64-level words (Word3/Word7, one uint64
-// per bit plane) to K-word plane vectors: a Mask, Word3V or Word7V carries up
-// to MaxK machine words per plane, giving word widths L of 64, 128, 256 or
-// 512 behind the same operation surface.  The vector types are sized for the
-// maximum width; every operation takes the vector word count k and touches
-// only words [0, k), so a K=1 engine pays for one word, not eight.
+// This file generalizes the scalar 64-level Word7 (one uint64 per bit plane)
+// to K-word plane vectors: a Mask or Word7V carries up to MaxK machine words
+// per plane, giving word widths L of 64, 128, 256 or 512.  The vector types
+// are sized for the maximum width; every operation takes the vector word
+// count k and touches only words [0, k), so a K=1 engine pays for one word,
+// not eight.
 //
 // The types are plain comparable structs of [MaxK]uint64 arrays: the plane
 // loops are fixed-bound and branch-free per word, which the compiler can
@@ -163,67 +163,6 @@ func (m Mask) String() string {
 	return sb.String()
 }
 
-// Word3V holds up to MaxWordWidth three-valued logic values in two wide bit
-// planes: the K-word generalization of Word3.  The zero value is "X at every
-// bit level".
-type Word3V struct {
-	Zero Mask
-	One  Mask
-}
-
-// FillWord3V returns a vector holding v at the levels selected by mask.
-func FillWord3V(v Value3, mask Mask) Word3V {
-	var w Word3V
-	if v.ZeroBit() {
-		w.Zero = mask
-	}
-	if v.OneBit() {
-		w.One = mask
-	}
-	return w
-}
-
-// Get returns the value at bit level i.
-func (w Word3V) Get(i int) Value3 {
-	var v Value3
-	if w.Zero.Bit(i) {
-		v |= Zero3
-	}
-	if w.One.Bit(i) {
-		v |= One3
-	}
-	return v
-}
-
-// Set stores v at bit level i, replacing the previous value.
-func (w *Word3V) Set(i int, v Value3) {
-	wd, b := i>>6, uint64(1)<<uint(i&63)
-	w.Zero[wd] &^= b
-	w.One[wd] &^= b
-	if v.ZeroBit() {
-		w.Zero[wd] |= b
-	}
-	if v.OneBit() {
-		w.One[wd] |= b
-	}
-}
-
-// Merge accumulates the requirements of o into w at every bit level.
-func (w Word3V) Merge(o Word3V) Word3V {
-	return Word3V{Zero: w.Zero.Or(o.Zero), One: w.One.Or(o.One)}
-}
-
-// SelectLevels keeps only the bit levels selected by mask.
-func (w Word3V) SelectLevels(mask Mask) Word3V {
-	return Word3V{Zero: w.Zero.And(mask), One: w.One.And(mask)}
-}
-
-// Not returns the complement (planes swapped).
-func (w Word3V) Not() Word3V { return Word3V{Zero: w.One, One: w.Zero} }
-
-// ConflictMask returns the levels holding the illegal (1,1) encoding.
-func (w Word3V) ConflictMask() Mask { return w.Zero.And(w.One) }
-
 // Word7V holds up to MaxWordWidth seven-valued logic values in four wide bit
 // planes: the K-word generalization of Word7.  The zero value is "X at every
 // bit level".
@@ -341,16 +280,6 @@ func (w Word7V) Merge(o Word7V) Word7V {
 	}
 }
 
-// ClearLevels resets the bit levels selected by mask to X.
-func (w Word7V) ClearLevels(mask Mask) Word7V {
-	return Word7V{
-		Zero:     w.Zero.AndNot(mask),
-		One:      w.One.AndNot(mask),
-		Stable:   w.Stable.AndNot(mask),
-		Instable: w.Instable.AndNot(mask),
-	}
-}
-
 // SelectLevels keeps only the bit levels selected by mask.
 func (w Word7V) SelectLevels(mask Mask) Word7V {
 	return Word7V{
@@ -370,16 +299,6 @@ func (w Word7V) Not() Word7V {
 // ConflictMask returns the levels holding an illegal encoding.
 func (w Word7V) ConflictMask() Mask {
 	return w.Zero.And(w.One).Or(w.Stable.And(w.Instable))
-}
-
-// CoversMask returns the levels at which w satisfies the requirement o,
-// restricted to the levels selected by within.
-func (w Word7V) CoversMask(o Word7V, within Mask) Mask {
-	miss := o.Zero.AndNot(w.Zero).
-		Or(o.One.AndNot(w.One)).
-		Or(o.Stable.AndNot(w.Stable)).
-		Or(o.Instable.AndNot(w.Instable))
-	return within.AndNot(miss)
 }
 
 // IsZero reports whether every level of every plane is X.
@@ -419,103 +338,6 @@ func (w Word7V) StringN(n int) string {
 		}
 	}
 	return sb.String()
-}
-
-// EvalGate3VInto evaluates a gate of the given kind over bit-parallel
-// three-valued plane vectors, writing the result into dst.  Only plane words
-// [0, k) are read and written; the caller keeps the upper words zero.  The
-// result at levels where some input holds the conflict encoding is
-// unspecified.
-//
-//atpgvet:noalloc
-func EvalGate3VInto(dst *Word3V, kind Kind, k int, in []Word3V) {
-	switch kind {
-	case Buf, Input:
-		if len(in) == 0 {
-			*dst = Word3V{}
-			return
-		}
-		*dst = in[0]
-	case Not:
-		if len(in) == 0 {
-			*dst = Word3V{}
-			return
-		}
-		*dst = in[0].Not()
-	case Const0:
-		*dst = FillWord3V(Zero3, LevelsMask(k*WordWidth))
-	case Const1:
-		*dst = FillWord3V(One3, LevelsMask(k*WordWidth))
-	case And:
-		andWord3V(dst, k, in, false)
-	case Nand:
-		andWord3V(dst, k, in, true)
-	case Or:
-		orWord3V(dst, k, in, false)
-	case Nor:
-		orWord3V(dst, k, in, true)
-	case Xor:
-		xorWord3V(dst, k, in, false)
-	case Xnor:
-		xorWord3V(dst, k, in, true)
-	default:
-		*dst = Word3V{}
-	}
-}
-
-func andWord3V(dst *Word3V, k int, in []Word3V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word3V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		zero, one := uint64(0), AllLevels
-		for i := range in {
-			zero |= in[i].Zero[w]
-			one &= in[i].One[w]
-		}
-		if invert {
-			zero, one = one, zero
-		}
-		dst.Zero[w], dst.One[w] = zero, one
-	}
-}
-
-func orWord3V(dst *Word3V, k int, in []Word3V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word3V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		zero, one := AllLevels, uint64(0)
-		for i := range in {
-			zero &= in[i].Zero[w]
-			one |= in[i].One[w]
-		}
-		if invert {
-			zero, one = one, zero
-		}
-		dst.Zero[w], dst.One[w] = zero, one
-	}
-}
-
-func xorWord3V(dst *Word3V, k int, in []Word3V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word3V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		assigned, parity := AllLevels, uint64(0)
-		for i := range in {
-			assigned &= in[i].Zero[w] ^ in[i].One[w]
-			parity ^= in[i].One[w]
-		}
-		zero, one := assigned&^parity, assigned&parity
-		if invert {
-			zero, one = one, zero
-		}
-		dst.Zero[w], dst.One[w] = zero, one
-	}
 }
 
 // EvalGate7VInto evaluates a gate of the given kind over bit-parallel

@@ -110,16 +110,6 @@ func randWord7(rng *rand.Rand) Word7 {
 	return w.Word7At(0)
 }
 
-// randWord3 is the three-valued sibling of randWord7.
-func randWord3(rng *rand.Rand) Word3 {
-	vals := []Value3{X3, Zero3, One3}
-	var w Word3V
-	for i := 0; i < WordWidth; i++ {
-		w.Set(i, vals[rng.Intn(len(vals))])
-	}
-	return Word3{Zero: w.Zero[0], One: w.One[0]}
-}
-
 // TestEvalGate7VIntoMatchesScalar checks that the K-word vector kernel is,
 // word for word, the scalar kernel: a width-512 evaluation must equal eight
 // independent single-word evaluations of the same inputs (the window
@@ -152,42 +142,6 @@ func TestEvalGate7VIntoMatchesScalar(t *testing.T) {
 					if got.Word7At(wd) != want {
 						t.Fatalf("%v fanins=%d word %d: vector %v != scalar %v",
 							kind, fanins, wd, got.Word7At(wd), want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestEvalGate3VIntoMatchesScalar is the three-valued analogue.
-func TestEvalGate3VIntoMatchesScalar(t *testing.T) {
-	kinds := []Kind{Buf, Not, And, Nand, Or, Nor, Xor, Xnor, Const0, Const1}
-	rng := rand.New(rand.NewSource(43))
-	for _, kind := range kinds {
-		for _, fanins := range []int{1, 2, 4} {
-			if (kind == Buf || kind == Not) && fanins != 1 {
-				continue
-			}
-			for trial := 0; trial < 20; trial++ {
-				in := make([]Word3V, fanins)
-				scalar := make([][]Word3, MaxK)
-				for wd := range scalar {
-					scalar[wd] = make([]Word3, fanins)
-				}
-				for f := 0; f < fanins; f++ {
-					for wd := 0; wd < MaxK; wd++ {
-						s := randWord3(rng)
-						scalar[wd][f] = s
-						in[f].Zero[wd] = s.Zero
-						in[f].One[wd] = s.One
-					}
-				}
-				var got Word3V
-				EvalGate3VInto(&got, kind, MaxK, in)
-				for wd := 0; wd < MaxK; wd++ {
-					want := EvalGate3(kind, scalar[wd])
-					if got.Zero[wd] != want.Zero || got.One[wd] != want.One {
-						t.Fatalf("%v fanins=%d word %d: vector != scalar", kind, fanins, wd)
 					}
 				}
 			}

@@ -2,9 +2,31 @@ package logic
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+func TestLevelMask(t *testing.T) {
+	if LevelMask(0) != 0 {
+		t.Errorf("LevelMask(0) = %x", LevelMask(0))
+	}
+	if LevelMask(1) != 1 {
+		t.Errorf("LevelMask(1) = %x", LevelMask(1))
+	}
+	if LevelMask(8) != 0xff {
+		t.Errorf("LevelMask(8) = %x", LevelMask(8))
+	}
+	if LevelMask(64) != AllLevels {
+		t.Errorf("LevelMask(64) = %x", LevelMask(64))
+	}
+	if LevelMask(100) != AllLevels {
+		t.Errorf("LevelMask(100) = %x", LevelMask(100))
+	}
+	if LevelMask(-3) != 0 {
+		t.Errorf("LevelMask(-3) = %x", LevelMask(-3))
+	}
+}
 
 func TestWord7GetSet(t *testing.T) {
 	var w Word7
@@ -32,12 +54,11 @@ func TestWord7FillAndMasks(t *testing.T) {
 	if w.One != AllLevels || w.Instable != AllLevels || w.Zero != 0 || w.Stable != 0 {
 		t.Fatalf("FillWord7(Rise7) = %+v", w)
 	}
-	if w.AssignedMask() != AllLevels || w.ConflictMask() != 0 || w.XMask() != 0 {
-		t.Error("mask computation wrong for a filled word")
+	if w.ConflictMask() != 0 {
+		t.Error("a filled legal value should not conflict")
 	}
-	var x Word7
-	if x.XMask() != AllLevels {
-		t.Error("zero word should be all X")
+	if (FillWord7(X7) != Word7{}) {
+		t.Error("the zero word should be X at every level")
 	}
 	c := FillWord7(Stable0 | Stable1)
 	if c.ConflictMask() != AllLevels {
@@ -67,26 +88,43 @@ func TestWord7MergeCoversContradicts(t *testing.T) {
 	if !m.Get(2).IsConflict() {
 		t.Errorf("merge at level 2 = %v, want conflict", m.Get(2))
 	}
-	if a.CoversMask(b)&LevelMask(3) != 0b001 {
-		t.Errorf("CoversMask = %03b", a.CoversMask(b)&LevelMask(3))
+	// The merge covers both requirements at every level, and conflicts
+	// exactly where they contradict each other.
+	for lvl := 0; lvl < 3; lvl++ {
+		if !m.Get(lvl).Covers(a.Get(lvl)) || !m.Get(lvl).Covers(b.Get(lvl)) {
+			t.Errorf("merge at level %d = %v does not cover %v and %v", lvl, m.Get(lvl), a.Get(lvl), b.Get(lvl))
+		}
 	}
-	if a.ContradictsMask(b)&LevelMask(3) != 0b100 {
-		t.Errorf("ContradictsMask = %03b", a.ContradictsMask(b)&LevelMask(3))
+	if m.ConflictMask()&LevelMask(3) != 0b100 {
+		t.Errorf("ConflictMask of the merge = %03b, want 100", m.ConflictMask()&LevelMask(3))
 	}
 }
 
+// TestWord7WeakenLift checks that the Zero/One planes of a Word7 are the
+// Table 1 planes of its values weakened to three values, and that a word
+// holding only those planes reads back as the lifted values.
 func TestWord7WeakenLift(t *testing.T) {
 	var w Word7
 	w.Set(0, Stable1)
 	w.Set(1, Fall7)
 	w.Set(2, Final1)
-	w3 := w.Weaken3()
-	if w3.Get(0) != One3 || w3.Get(1) != Zero3 || w3.Get(2) != One3 || w3.Get(3) != X3 {
-		t.Errorf("Weaken3 projection wrong: %s", w3.StringN(4))
+	want := []Value3{One3, Zero3, One3, X3}
+	for lvl, v3 := range want {
+		if got := w.Get(lvl).Weaken3(); got != v3 {
+			t.Errorf("level %d weakens to %v, want %v", lvl, got, v3)
+		}
+		if got := w.Zero>>uint(lvl)&1 != 0; got != v3.ZeroBit() {
+			t.Errorf("level %d: Zero plane bit %v, Table 1 0-bit %v", lvl, got, v3.ZeroBit())
+		}
+		if got := w.One>>uint(lvl)&1 != 0; got != v3.OneBit() {
+			t.Errorf("level %d: One plane bit %v, Table 1 1-bit %v", lvl, got, v3.OneBit())
+		}
 	}
-	lift := Word7From3(w3)
-	if lift.Get(0) != Final1 || lift.Get(1) != Final0 || lift.Get(3) != X7 {
-		t.Errorf("Word7From3 lifting wrong: %s", lift.StringN(4))
+	lift := Word7{Zero: w.Zero, One: w.One}
+	for lvl, v3 := range want {
+		if got := lift.Get(lvl); got != Value7From3(v3) {
+			t.Errorf("lifted level %d = %v, want %v", lvl, got, Value7From3(v3))
+		}
 	}
 }
 
@@ -106,22 +144,26 @@ func TestWord7InitialPlanes(t *testing.T) {
 	}
 }
 
+// TestWord7StringParseRoundTrip checks that StringN renders each level in the
+// one-character notation, highest level first, so that reading the notation
+// back level by level restores the word.
 func TestWord7StringParseRoundTrip(t *testing.T) {
-	lits := []string{"", "0", "1", "s", "S", "f", "r", "x", "C", "sSfr01x", "rrrr"}
+	chars := map[byte]Value7{
+		'0': Final0, '1': Final1, 's': Stable0, 'S': Stable1,
+		'f': Fall7, 'r': Rise7, 'x': X7, 'C': Stable0 | Stable1,
+	}
+	lits := []string{"0", "1", "s", "S", "f", "r", "x", "C", "sSfr01x", "rrrr"}
 	for _, lit := range lits {
-		w, err := ParseWord7(lit)
-		if err != nil {
-			t.Fatalf("ParseWord7(%q): %v", lit, err)
-		}
-		if lit == "" {
-			continue
+		var w Word7
+		for idx := 0; idx < len(lit); idx++ {
+			w.Set(len(lit)-1-idx, chars[lit[idx]])
 		}
 		if got := w.StringN(len(lit)); got != lit {
 			t.Errorf("round trip of %q gave %q", lit, got)
 		}
 	}
-	if _, err := ParseWord7("0z"); err == nil {
-		t.Error("ParseWord7(\"0z\") should fail")
+	if got := (Word7{}).String(); got != strings.Repeat("x", WordWidth) {
+		t.Errorf("String of the zero word = %q", got)
 	}
 }
 
@@ -183,9 +225,9 @@ func TestEvalGate7SingleLevelProperty(t *testing.T) {
 	}
 }
 
-// TestEvalGate7WeakensToGate3 checks that projecting the seven-valued word
-// evaluation onto three values agrees with the three-valued word evaluation
-// of the projected inputs, at every level.
+// TestEvalGate7WeakensToGate3 checks that the value planes of the
+// seven-valued word evaluation are, at every level, the Table 1 encoding of
+// the three-valued evaluation of the weakened inputs.
 func TestEvalGate7WeakensToGate3(t *testing.T) {
 	kinds := []Kind{And, Nand, Or, Nor, Xor, Xnor}
 	vals := AllValues7()
@@ -194,17 +236,23 @@ func TestEvalGate7WeakensToGate3(t *testing.T) {
 		kind := kinds[rng.Intn(len(kinds))]
 		n := 1 + rng.Intn(4)
 		in7 := make([]Word7, n)
-		in3 := make([]Word3, n)
 		for i := range in7 {
 			for lvl := 0; lvl < WordWidth; lvl++ {
 				in7[i].Set(lvl, vals[rng.Intn(len(vals))])
 			}
-			in3[i] = in7[i].Weaken3()
 		}
-		got := EvalGate7(kind, in7).Weaken3()
-		want := EvalGate3(kind, in3)
-		if got != want {
-			t.Fatalf("kind %v: projection mismatch\n got %s\nwant %s", kind, got.String(), want.String())
+		out := EvalGate7(kind, in7)
+		in3 := make([]Value3, n)
+		for lvl := 0; lvl < WordWidth; lvl++ {
+			for i := range in7 {
+				in3[i] = in7[i].Get(lvl).Weaken3()
+			}
+			want := Eval3(kind, in3...)
+			zero, one := out.Zero>>uint(lvl)&1 != 0, out.One>>uint(lvl)&1 != 0
+			if zero != want.ZeroBit() || one != want.OneBit() {
+				t.Fatalf("kind %v level %d: value planes (%v,%v), Eval3 %v (inputs %v)",
+					kind, lvl, zero, one, want, in3)
+			}
 		}
 	}
 }
@@ -228,31 +276,26 @@ func TestEvalGate7Constants(t *testing.T) {
 	}
 }
 
-func TestWord7FlattenClearSelect(t *testing.T) {
+func TestWord7SelectLevels(t *testing.T) {
 	var w Word7
 	w.Set(0, Rise7)
 	w.Set(1, Stable0)
-	f := w.Flatten(0)
-	if f != FillWord7(Rise7) {
-		t.Errorf("Flatten(0) wrong: %s", f.StringN(4))
-	}
-	cl := w.ClearLevels(1)
-	if cl.Get(0) != X7 || cl.Get(1) != Stable0 {
-		t.Errorf("ClearLevels wrong: %s", cl.StringN(4))
-	}
 	sel := w.SelectLevels(1)
 	if sel.Get(0) != Rise7 || sel.Get(1) != X7 {
-		t.Errorf("SelectLevels wrong: %s", sel.StringN(4))
+		t.Errorf("SelectLevels(1) wrong: %s", sel.StringN(4))
 	}
-	m := w.MergeMasked(FillWord7(Final1), 0b10)
-	if m.Get(0) != Rise7 || !m.Get(1).IsConflict() {
-		t.Errorf("MergeMasked wrong: %v %v", m.Get(0), m.Get(1))
+	if w.SelectLevels(AllLevels) != w {
+		t.Error("selecting every level should keep the word")
+	}
+	if (w.SelectLevels(0) != Word7{}) {
+		t.Error("selecting no level should give the all-X word")
 	}
 }
 
 func BenchmarkTable2GateEval(b *testing.B) {
 	// Evaluates a 4-input AND over all 64 bit levels in the seven-valued
-	// robust logic; roughly twice the plane work of the Table 1 encoding.
+	// logic: the elementary operation the paper's Table 2 encoding is
+	// designed to make cheap.
 	vals := AllValues7()
 	in := make([]Word7, 4)
 	rng := rand.New(rand.NewSource(7))
@@ -265,6 +308,35 @@ func BenchmarkTable2GateEval(b *testing.B) {
 	var sink Word7
 	for i := 0; i < b.N; i++ {
 		sink = EvalGate7(And, in)
+	}
+	_ = sink
+}
+
+func BenchmarkSingleBitGateEval(b *testing.B) {
+	// The scalar counterpart of BenchmarkTable2GateEval: evaluating the same
+	// 64 levels one by one with the scalar reference.  The ratio of the two
+	// benchmarks shows the raw word-level parallelism available to the TPG.
+	vals := AllValues7()
+	in := make([]Word7, 4)
+	rng := rand.New(rand.NewSource(7))
+	for i := range in {
+		for lvl := 0; lvl < WordWidth; lvl++ {
+			in[i].Set(lvl, vals[rng.Intn(len(vals))])
+		}
+	}
+	scalar := make([][]Value7, WordWidth)
+	for lvl := range scalar {
+		scalar[lvl] = make([]Value7, len(in))
+		for i := range in {
+			scalar[lvl][i] = in[i].Get(lvl)
+		}
+	}
+	b.ResetTimer()
+	var sink Value7
+	for i := 0; i < b.N; i++ {
+		for lvl := 0; lvl < WordWidth; lvl++ {
+			sink = Eval7(And, scalar[lvl]...)
+		}
 	}
 	_ = sink
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/implic"
 	"repro/internal/logic"
 	"repro/internal/paths"
 )
@@ -192,6 +193,9 @@ func TestSensitizeRejectsInvalidPath(t *testing.T) {
 	}
 }
 
+// TestRequirementWords folds the conditions into the requirement planes of an
+// implication state the way the generator does: at one bit level per fault
+// for FPTPG, and at every active level when a fault is flattened for APTPG.
 func TestRequirementWords(t *testing.T) {
 	c := bench.C17()
 	p := pathByNames(t, c, "3", "11", "16", "22")
@@ -200,22 +204,28 @@ func TestRequirementWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := make([]logic.Word7, c.NumNets())
-	cond.RequirementWords(words, 5)
-	if got := words[c.NetByName("3")].Get(5); got != logic.Rise7 {
+	st := implic.NewState(c)
+	st.Reset(logic.LevelsMask(logic.WordWidth))
+	for _, a := range cond.Assignments {
+		st.AddRequirement(a.Net, a.Value, logic.BitMask(5))
+	}
+	if got := st.ReqGet(c.NetByName("3"), 5); got != logic.Rise7 {
 		t.Errorf("requirement at level 5 = %v, want Rise", got)
 	}
-	if got := words[c.NetByName("3")].Get(4); got != logic.X7 {
+	if got := st.ReqGet(c.NetByName("3"), 4); got != logic.X7 {
 		t.Errorf("level 4 should be untouched, got %v", got)
 	}
-	wordsAll := make([]logic.Word7, c.NumNets())
-	cond.RequirementWordsAll(wordsAll, logic.LevelMask(8))
+	all := implic.NewState(c)
+	all.Reset(logic.LevelsMask(8))
+	for _, a := range cond.Assignments {
+		all.AddRequirement(a.Net, a.Value, all.Active())
+	}
 	for lvl := 0; lvl < 8; lvl++ {
-		if got := wordsAll[c.NetByName("2")].Get(lvl); got != logic.Stable1 {
+		if got := all.ReqGet(c.NetByName("2"), lvl); got != logic.Stable1 {
 			t.Errorf("flattened requirement at level %d = %v, want Stable1", lvl, got)
 		}
 	}
-	if got := wordsAll[c.NetByName("2")].Get(8); got != logic.X7 {
+	if got := all.ReqGet(c.NetByName("2"), 8); got != logic.X7 {
 		t.Errorf("level 8 should be untouched, got %v", got)
 	}
 }
