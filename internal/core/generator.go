@@ -33,6 +33,10 @@ type Generator struct {
 	aptpgSt *implic.State
 	tm      *testability.Measures
 	sim     *faultsim.Simulator
+	// simPair is verifyPattern's one-pair batch: the simulator keeps a
+	// reference to the batch it loads, so a per-call slice literal would
+	// escape to the heap.
+	simPair [1]pattern.Pair
 
 	// objBuf is the scratch buffer of orderObjectives, reused across calls.
 	objBuf []circuit.NetID
@@ -913,7 +917,8 @@ func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 // verifyPattern checks with the fault simulator that the pattern actually
 // detects the fault in the selected test class.
 func (g *Generator) verifyPattern(f paths.Fault, p pattern.Pair) bool {
-	if _, err := g.sim.Load([]pattern.Pair{p}); err != nil {
+	g.simPair[0] = p
+	if _, err := g.sim.Load(g.simPair[:]); err != nil {
 		return false
 	}
 	return g.sim.Detects(f, g.opts.Mode == sensitize.Robust) != 0

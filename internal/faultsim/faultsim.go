@@ -5,9 +5,17 @@
 // parallel-pattern fault simulators the paper builds on.  Each primary input
 // is driven with the seven-valued value describing its behaviour across the
 // two vectors (stable, rising, falling, or final-only when the first vector
-// leaves it unspecified), the circuit is evaluated once, and every fault's
-// detection condition is then checked along its path with word-wide mask
-// operations.
+// leaves it unspecified), and every fault's detection condition is checked
+// along its path with word-wide mask operations.
+//
+// Evaluation is demand-driven: loading a batch evaluates nothing, and a net's
+// value word is computed the first time a detection check (or Value) reads
+// it, by walking the net's fanin cone down to the inputs it reaches.  Each
+// net is evaluated at most once per batch, so a caller checking many faults
+// pays at most one full-circuit sweep per batch, while a caller checking a
+// handful (a claim-time sweep, the verification of a fresh pattern) pays
+// only for the cones those faults read; most such checks stop at the launch
+// transition on the path input.
 package faultsim
 
 import (
@@ -24,31 +32,62 @@ import (
 // Simulator evaluates batches of up to 64 test pairs against path delay
 // faults.  A Simulator is bound to one circuit and reused across batches.
 type Simulator struct {
-	c    *circuit.Circuit
-	vals []logic.Word7
-	n    int // number of pairs in the current batch
+	c *circuit.Circuit
+	// inputPos[net] is the net's position in c.Inputs(), or -1.
+	inputPos []int32
 
-	// faninBuf is the gate-evaluation scratch, hoisted here so Load does not
-	// allocate per call.
+	// pairs is the current batch as passed to Load (not copied).
+	pairs []pattern.Pair
+
+	// vals[net] is the net's value word for the current batch when
+	// stamp[net] == epoch; Load bumps epoch, which invalidates every net at
+	// once.
+	vals  []logic.Word7
+	stamp []uint32
+	epoch uint32
+
+	// stack is the cone walk's work list and faninBuf the gate-evaluation
+	// scratch, both kept here so evaluation does not allocate per call.
+	stack    []circuit.NetID
 	faninBuf []logic.Word7
 }
 
 // New returns a simulator for the circuit.
 func New(c *circuit.Circuit) *Simulator {
-	return &Simulator{
+	// A cone walk expands each gate at most once, pushing at most its
+	// fanins, so one slot per fanin edge plus the root bounds the stack.
+	edges := 0
+	for _, g := range c.Gates() {
+		edges += len(g.Fanin)
+	}
+	s := &Simulator{
 		c:        c,
+		inputPos: make([]int32, c.NumNets()),
 		vals:     make([]logic.Word7, c.NumNets()),
+		stamp:    make([]uint32, c.NumNets()),
+		stack:    make([]circuit.NetID, 0, edges+1),
 		faninBuf: make([]logic.Word7, 0, 8),
 	}
+	for i := range s.inputPos {
+		s.inputPos[i] = -1
+	}
+	for i, in := range c.Inputs() {
+		s.inputPos[in] = int32(i)
+	}
+	return s
 }
 
 // BatchSize is the maximum number of test pairs per batch.
 const BatchSize = logic.WordWidth
 
-// Load simulates a batch of up to BatchSize test pairs and returns the
+// Load makes up to BatchSize test pairs the current batch and returns the
 // number of pairs loaded.  Pairs beyond BatchSize are ignored (call Load
 // again with the remainder).  Each pair must have one value per primary
-// input of the circuit.
+// input of the circuit; on an error the previous batch stays loaded.
+//
+// Load only records the batch: nets are evaluated when Detects or Value
+// reads them.  The simulator therefore keeps a reference to pairs until the
+// next Load, and the caller must not modify them in the meantime.
 //
 //atpgvet:noalloc
 func (s *Simulator) Load(pairs []pattern.Pair) (int, error) {
@@ -56,42 +95,99 @@ func (s *Simulator) Load(pairs []pattern.Pair) (int, error) {
 	if n > BatchSize {
 		n = BatchSize
 	}
-	inputs := s.c.Inputs()
-	// Only the input nets accumulate batch values (MergeAt below); every
-	// other net is overwritten by the evaluation sweep, so clearing the
-	// inputs is enough to erase the previous batch.
-	for _, in := range inputs {
-		s.vals[in] = logic.Word7{}
-	}
+	inputs := len(s.c.Inputs())
 	for j := 0; j < n; j++ {
-		if pairs[j].Len() != len(inputs) {
+		if pairs[j].Len() != inputs {
 			//atpgvet:ignore hotalloc -- error path: a malformed batch is rejected once, never in the steady state
-			return 0, fmt.Errorf("faultsim: pair %d has %d values for %d inputs", j, pairs[j].Len(), len(inputs))
-		}
-		for i, in := range inputs {
-			s.vals[in].MergeAt(j, pairs[j].Value7(i))
+			return 0, fmt.Errorf("faultsim: pair %d has %d values for %d inputs", j, pairs[j].Len(), inputs)
 		}
 	}
-	for _, id := range s.c.TopoOrder() {
-		g := s.c.Gate(id)
-		if g.Kind == logic.Input {
-			continue
-		}
-		s.faninBuf = s.faninBuf[:0]
-		for _, f := range g.Fanin {
-			s.faninBuf = append(s.faninBuf, s.vals[f])
-		}
-		s.vals[id] = logic.EvalGate7(g.Kind, s.faninBuf)
+	s.pairs = pairs[:n]
+	s.epoch++
+	if s.epoch == 0 {
+		// The counter wrapped: clear the stamps so that none written under
+		// an earlier use of an epoch number can match again.
+		clear(s.stamp)
+		s.epoch = 1
 	}
-	s.n = n
 	return n, nil
 }
 
-// Value returns the simulated value word of a net for the current batch.
-func (s *Simulator) Value(net circuit.NetID) logic.Word7 { return s.vals[net] }
+// Value returns the simulated value word of a net for the current batch,
+// evaluating the net's fanin cone first if the batch has not reached it.
+func (s *Simulator) Value(net circuit.NetID) logic.Word7 {
+	if s.stamp[net] != s.epoch {
+		s.eval(net)
+	}
+	return s.vals[net]
+}
+
+// eval computes the value word of root and of every net of its fanin cone
+// not yet evaluated in this batch.  The walk is an explicit depth-first
+// stack: a gate stays on the stack until all its fanins are stamped, and an
+// input is packed from the batch's pairs when the walk reaches it.
+func (s *Simulator) eval(root circuit.NetID) {
+	s.stack = s.stack[:0]
+	s.stack = append(s.stack, root)
+	for len(s.stack) > 0 {
+		id := s.stack[len(s.stack)-1]
+		if s.stamp[id] == s.epoch {
+			// Pushed twice (a fanin of two gates on the stack) and already
+			// evaluated through the other gate.
+			s.stack = s.stack[:len(s.stack)-1]
+			continue
+		}
+		if pos := s.inputPos[id]; pos >= 0 {
+			s.vals[id] = s.packInput(int(pos))
+		} else {
+			g := s.c.Gate(id)
+			pending := false
+			for _, f := range g.Fanin {
+				if s.stamp[f] != s.epoch {
+					s.stack = append(s.stack, f)
+					pending = true
+				}
+			}
+			if pending {
+				continue
+			}
+			s.faninBuf = s.faninBuf[:0]
+			for _, f := range g.Fanin {
+				s.faninBuf = append(s.faninBuf, s.vals[f])
+			}
+			s.vals[id] = logic.EvalGate7(g.Kind, s.faninBuf)
+		}
+		s.stamp[id] = s.epoch
+		s.stack = s.stack[:len(s.stack)-1]
+	}
+}
+
+// packInput returns the value word of primary input pos across the batch:
+// the branch-free form of MergeAt(j, pairs[j].Value7(pos)) for every pair
+// j.  The second vector's value sets the final-value planes, and the two
+// vectors together set a stability plane when both are assigned.
+func (s *Simulator) packInput(pos int) logic.Word7 {
+	var w logic.Word7
+	for j := range s.pairs {
+		z1, o1 := valueBits(s.pairs[j].V1[pos])
+		z2, o2 := valueBits(s.pairs[j].V2[pos])
+		w.Zero |= z2 << j
+		w.One |= o2 << j
+		w.Stable |= (z1&z2 | o1&o2) << j
+		w.Instable |= (z1&o2 | o1&z2) << j
+	}
+	return w
+}
+
+// valueBits returns 1 in zero for logic 0 and 1 in one for logic 1; X and
+// the conflict encoding set neither, as they load as unassigned.
+func valueBits(v logic.Value3) (zero, one uint64) {
+	b0, b1 := uint64(v&1), uint64(v>>1&1)
+	return b0 &^ b1, b1 &^ b0
+}
 
 // BatchMask returns the mask of bit levels occupied by the current batch.
-func (s *Simulator) BatchMask() uint64 { return logic.LevelMask(s.n) }
+func (s *Simulator) BatchMask() uint64 { return logic.LevelMask(len(s.pairs)) }
 
 // Detects returns the mask of test pairs of the current batch that detect
 // the fault, robustly when robust is true and nonrobustly otherwise.
@@ -157,7 +253,7 @@ func (s *Simulator) Detects(f paths.Fault, robust bool) uint64 {
 // transitionMask returns the pairs on which net carries exactly the given
 // transition.
 func (s *Simulator) transitionMask(net circuit.NetID, t paths.Transition) uint64 {
-	v := s.vals[net]
+	v := s.Value(net)
 	if t == paths.Rising {
 		return v.One & v.Instable
 	}
@@ -167,7 +263,7 @@ func (s *Simulator) transitionMask(net circuit.NetID, t paths.Transition) uint64
 // sideInputMask returns the pairs on which the off-path input satisfies the
 // propagation condition of the gate kind for the given on-path transition.
 func (s *Simulator) sideInputMask(kind logic.Kind, side circuit.NetID, onPath paths.Transition, robust bool) uint64 {
-	v := s.vals[side]
+	v := s.Value(side)
 	switch kind {
 	case logic.And, logic.Nand, logic.Or, logic.Nor:
 		ctrl, _ := kind.Controlling()

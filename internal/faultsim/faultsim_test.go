@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
@@ -280,6 +281,22 @@ func TestLoadErrors(t *testing.T) {
 	if n != BatchSize {
 		t.Errorf("loaded %d pairs, want %d", n, BatchSize)
 	}
+
+	// A rejected batch touches nothing: the batch loaded before it, partly
+	// evaluated, stays readable.
+	rng := rand.New(rand.NewSource(3))
+	c = randomCircuit(t, rng, 0)
+	faults := paths.SampleFaults(c, 40, 3)
+	sim = New(c)
+	pairs := randomXPairs(c, BatchSize, rng)
+	if _, err := sim.Load(pairs); err != nil {
+		t.Fatal(err)
+	}
+	sim.Detects(faults[0], true)
+	if _, err := sim.Load(append(randomXPairs(c, 3, rng), pattern.NewPair(len(c.Inputs())+1))); err == nil {
+		t.Fatal("loading a pair with the wrong arity should fail")
+	}
+	checkBatch(t, sim, pairs, faults, rng, true, c.Name+" after a rejected Load")
 }
 
 func BenchmarkFaultSimC880Class(b *testing.B) {
@@ -295,6 +312,28 @@ func BenchmarkFaultSimC880Class(b *testing.B) {
 		}
 		for _, f := range faults {
 			sim.Detects(f, true)
+		}
+	}
+}
+
+// BenchmarkClaimSweepC880Class is the claim-time sweep in the shape of the
+// service's escalation first pass: one-fault units, each checked against a
+// 640-pair pattern history one batch at a time.  One op claims 100 units.
+func BenchmarkClaimSweepC880Class(b *testing.B) {
+	p, _ := bench.ProfileByName("c880")
+	c := bench.MustSynthesize(p)
+	faults := paths.SampleFaults(c, 100, 3)
+	history := randomPairs(c, 10*BatchSize, 17)
+	sim := New(c)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range faults {
+			for base := 0; base < len(history); base += BatchSize {
+				if _, err := sim.Load(history[base : base+BatchSize]); err != nil {
+					b.Fatal(err)
+				}
+				sim.Detects(f, true)
+			}
 		}
 	}
 }
@@ -413,32 +452,27 @@ func TestDetectsMatchesTransitionsReference(t *testing.T) {
 	}
 }
 
-// TestDetectsDoesNotAllocate pins Load and Detects at zero allocations on a
-// loaded batch, the steady state of every claim sweep and compaction pass.
+// TestDetectsDoesNotAllocate pins Load and Detects at zero allocations in
+// the steady state of every claim sweep and compaction pass: Load a batch,
+// then Detects starting the cone walks that evaluate it, batch after batch.
 func TestDetectsDoesNotAllocate(t *testing.T) {
 	p, _ := bench.ProfileByName("c880")
 	c := bench.MustSynthesize(p)
 	faults := paths.SampleFaults(c, 200, 3)
-	pairs := randomPairs(c, BatchSize, 17)
+	history := randomPairs(c, 4*BatchSize, 17)
 	sim := New(c)
-	if _, err := sim.Load(pairs); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(20, func() {
-		for _, f := range faults {
-			sim.Detects(f, true)
-			sim.Detects(f, false)
+		for base := 0; base < len(history); base += BatchSize {
+			if _, err := sim.Load(history[base : base+BatchSize]); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range faults {
+				sim.Detects(f, true)
+				sim.Detects(f, false)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Detects: %v allocs per sweep of %d faults, want 0", allocs, len(faults))
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		if _, err := sim.Load(pairs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Load: %v allocs per batch, want 0", allocs)
+		t.Errorf("Load+Detects: %v allocs per sweep of %d batches and %d faults, want 0", allocs, len(history)/BatchSize, len(faults))
 	}
 }

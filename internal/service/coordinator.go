@@ -879,7 +879,9 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	// Validate everything before completing anything, so a malformed batch
-	// is rejected whole and the worker's retry is not a duplicate.
+	// is rejected whole and the worker's retry is not a duplicate.  A
+	// pattern that does not fit the circuit is rejected too: published, it
+	// would fail the claim sweep of every worker that imports it.
 	decoded := make([][]core.RemoteOutcome, len(req.Units))
 	for i, ur := range req.Units {
 		if ur.ID < 0 || ur.ID >= len(ps.units) {
@@ -899,6 +901,13 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 			return
 		}
 		decoded[i] = outs
+	}
+	for i, wp := range req.Patterns {
+		if _, err := parseExchangePattern(wp.Test, len(j.c.Inputs())); err != nil {
+			j.mu.Unlock()
+			writeErr(w, http.StatusBadRequest, "bad-pattern", fmt.Sprintf("pattern %d: %v", i, err))
+			return
+		}
 	}
 	j.exch.publish(req.Patterns)
 	j.rr.AddEffort(req.Effort)

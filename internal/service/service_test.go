@@ -3,7 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +14,9 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/logic"
 	"repro/internal/paths"
+	"repro/internal/pattern"
 )
 
 // benchText loads a built-in circuit and renders the exact .bench text a
@@ -424,5 +429,183 @@ func TestServiceEvents(t *testing.T) {
 	}
 	if seen != len(faults) {
 		t.Fatalf("event stream delivered %d settles for %d faults", seen, len(faults))
+	}
+}
+
+// leaseOne leases a batch for the named worker, waiting for the job's first
+// pass to become leasable.
+func leaseOne(t *testing.T, cl *Client, worker string) LeaseResponse {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		lease, ok, err := cl.Lease(context.Background(), worker, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			return lease
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("no lease granted")
+	return LeaseResponse{}
+}
+
+// TestServiceRejectsBadPattern: a result batch whose exchange patterns do
+// not fit the circuit is rejected whole with 400 bad-pattern, and nothing
+// of it is applied: no pattern reaches the exchange and no fault settles.
+// Published, such a pattern would fail the claim sweep of every worker that
+// imported it for the rest of the job.
+func TestServiceRejectsBadPattern(t *testing.T) {
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 8, 1995)
+	co, err := NewCoordinator(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+	ctx := context.Background()
+
+	sub, err := cl.SubmitBench(ctx, "c432", text, JobOptions{}, EncodeFaults(c, faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _, _ = cl.Cancel(ctx, sub.JobID) }()
+	lease := leaseOne(t, cl, "tester")
+	post := func(patterns ...string) (PostResultsResponse, error) {
+		req := PostResults{Worker: "tester", Pass: lease.Pass}
+		for _, u := range lease.Units {
+			outs := make([]WireOutcome, len(u.Faults))
+			for i := range outs {
+				outs[i] = WireOutcome{Status: "aborted", Phase: "aptpg"}
+			}
+			req.Units = append(req.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: outs})
+		}
+		for _, p := range patterns {
+			req.Patterns = append(req.Patterns, WirePattern{Worker: "tester", Test: p})
+		}
+		return cl.PostUnitResults(ctx, sub.JobID, req)
+	}
+	settled := func() int {
+		st, err := cl.Status(ctx, sub.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Settled
+	}
+	exchanged := func() int {
+		pr, err := cl.Patterns(ctx, sub.JobID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(pr.Patterns)
+	}
+
+	inputs := len(c.Inputs())
+	good := pattern.NewPair(inputs).FillX(logic.Zero3).String()
+	before := settled()
+	for _, bad := range []string{
+		pattern.NewPair(inputs - 1).FillX(logic.One3).String(), // one input short
+		pattern.NewPair(inputs + 1).String(),                   // one input long
+		strings.Repeat("0", inputs) + "->" + strings.Repeat("1", inputs-1),
+		"not a pattern",
+	} {
+		_, err := post(good, bad)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad-pattern" {
+			t.Fatalf("posting pattern %q: err %v, want 400 bad-pattern", bad, err)
+		}
+		if n := exchanged(); n != 0 {
+			t.Fatalf("rejected batch published %d patterns", n)
+		}
+		if got := settled(); got != before {
+			t.Fatalf("rejected batch settled faults: %d -> %d", before, got)
+		}
+	}
+
+	resp, err := post(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stale {
+		t.Fatal("valid batch after rejected ones reported stale")
+	}
+	if n := exchanged(); n != 1 {
+		t.Fatalf("exchange holds %d patterns after the valid batch, want 1", n)
+	}
+	if got := settled(); got <= before {
+		t.Fatalf("valid batch settled nothing (%d -> %d)", before, got)
+	}
+}
+
+// TestParseExchangePattern pins the worker's import filter: a foreign pair
+// that does not parse or does not fit the circuit is skipped, not loaded
+// into the claim sweep.
+func TestParseExchangePattern(t *testing.T) {
+	for _, tc := range []struct {
+		test string
+		ok   bool
+	}{
+		{"01x -> 110", true},
+		{"x1x -> xx0", true},
+		{"01->11", false},
+		{"0101->1100", false},
+		{"01x->11", false},
+		{"01x", false},
+		{"01y->110", false},
+	} {
+		p, err := parseExchangePattern(tc.test, 3)
+		if (err == nil) != tc.ok {
+			t.Errorf("%q: err %v, want ok=%v", tc.test, err, tc.ok)
+		}
+		if err == nil && p.String() != tc.test {
+			t.Errorf("%q parsed as %q", tc.test, p.String())
+		}
+	}
+}
+
+// TestWorkerCountsExchangeDrops: with an exchange buffer of one pattern, a
+// result batch carrying two or more patterns ages entries out before the
+// worker's next fetch, and the worker counts what it missed.  One worker
+// leasing four one-fault units at a time makes the sequence of batches, and
+// so the count, the same on every run.
+func TestWorkerCountsExchangeDrops(t *testing.T) {
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 96, 1995)
+	co, err := NewCoordinator(Config{ExchangeCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+	ctx := context.Background()
+
+	opts := JobOptions{Escalate: 8, SimInterval: intp(8)}
+	sub, err := cl.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	wk := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "w1", MaxUnits: 4, Poll: 10 * time.Millisecond, JobPoll: 50 * time.Millisecond})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = wk.Run(wctx)
+	}()
+	st, err := cl.Wait(ctx, sub.JobID, 20*time.Millisecond)
+	cancel()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" {
+		t.Fatalf("job finished in state %q", st.State)
+	}
+	if cnt := wk.Counters(); cnt.ExchangeDropped == 0 {
+		t.Fatalf("worker counted no exchange overflow with ExchangeCap 1: %+v", cnt)
 	}
 }

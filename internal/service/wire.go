@@ -275,6 +275,20 @@ func DecodeOutcomes(ws []WireOutcome) ([]core.RemoteOutcome, error) {
 	return out, nil
 }
 
+// parseExchangePattern parses a pattern posted to the cross-worker exchange
+// and checks that it has one value per input of a circuit with the given
+// number of inputs, the shape the workers' claim sweeps can simulate.
+func parseExchangePattern(test string, inputs int) (pattern.Pair, error) {
+	p, err := pattern.ParsePair(test)
+	if err != nil {
+		return pattern.Pair{}, err
+	}
+	if p.Len() != inputs {
+		return pattern.Pair{}, fmt.Errorf("service: pattern has %d values for %d inputs", p.Len(), inputs)
+	}
+	return p, nil
+}
+
 // WireSpec is a core.PassSpec in wire form.
 type WireSpec struct {
 	Width  int  `json:"width"`

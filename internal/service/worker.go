@@ -59,6 +59,10 @@ type WorkerCounters struct {
 	// Backoff is the effective backoff: the duration of the most recent
 	// idle or error sleep.
 	Backoff time.Duration
+	// ExchangeDropped counts foreign patterns that aged out of a job's
+	// bounded exchange buffer (Config.ExchangeCap) before this worker
+	// fetched them; their drop opportunities are lost, nothing else.
+	ExchangeDropped int64
 }
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
@@ -89,7 +93,7 @@ type Worker struct {
 	cache *Cache
 
 	leases, units, idlePolls, leaseErrors atomic.Int64
-	backoffNS                             atomic.Int64
+	backoffNS, exchangeDropped            atomic.Int64
 
 	mu   sync.Mutex
 	rng  *rand.Rand // jitter source; guarded by mu
@@ -135,11 +139,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Counters snapshots the worker's loop counters.
 func (wk *Worker) Counters() WorkerCounters {
 	return WorkerCounters{
-		Leases:      wk.leases.Load(),
-		Units:       wk.units.Load(),
-		IdlePolls:   wk.idlePolls.Load(),
-		LeaseErrors: wk.leaseErrors.Load(),
-		Backoff:     time.Duration(wk.backoffNS.Load()),
+		Leases:          wk.leases.Load(),
+		Units:           wk.units.Load(),
+		IdlePolls:       wk.idlePolls.Load(),
+		LeaseErrors:     wk.leaseErrors.Load(),
+		Backoff:         time.Duration(wk.backoffNS.Load()),
+		ExchangeDropped: wk.exchangeDropped.Load(),
 	}
 }
 
@@ -232,13 +237,17 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 	// generator, so handing them to the first unit of the batch suffices.
 	var foreign []pattern.Pair
 	if wj.simOn {
+		inputs := len(wj.gen.Circuit().Inputs())
 		if pr, err := wk.cl.Patterns(ctx, wj.id, wj.cursor); err == nil {
 			wj.cursor = pr.Next
+			wk.exchangeDropped.Add(int64(pr.Dropped))
 			for _, wp := range pr.Patterns {
 				if wp.Worker == wk.cfg.ID {
 					continue
 				}
-				if p, err := pattern.ParsePair(wp.Test); err == nil {
+				// A malformed pair is skipped: loaded into the claim sweep it
+				// would stop every later sweep of the job.
+				if p, err := parseExchangePattern(wp.Test, inputs); err == nil {
 					foreign = append(foreign, p)
 				}
 			}
