@@ -115,8 +115,8 @@ type Engine struct {
 
 // New builds an engine for the circuit.  Without options it generates
 // robust tests at the full word width with both FPTPG and APTPG enabled and
-// fault simulation after every L patterns, the configuration of the paper's
-// main experiments.  Invalid options fail construction (e.g. ErrBadWidth
+// fault-simulation dropping on, the configuration of the paper's main
+// experiments.  Invalid options fail construction (e.g. ErrBadWidth
 // for an out-of-range WithWordWidth).
 func New(c *Circuit, opts ...Option) (*Engine, error) {
 	if c == nil || c.c == nil {
@@ -127,11 +127,6 @@ func New(c *Circuit, opts ...Option) (*Engine, error) {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.simInterval != nil {
-		cfg.opts.FaultSimInterval = *cfg.simInterval
-	} else {
-		cfg.opts.FaultSimInterval = cfg.opts.WordWidth
 	}
 	workers := cfg.workers
 	if workers < 1 {

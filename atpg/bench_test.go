@@ -171,7 +171,7 @@ func BenchmarkGrouping(b *testing.B) {
 		opts []atpg.Option
 	}{
 		{"fixed=64", nil},
-		{"serial=1", []atpg.Option{atpg.WithWordWidth(1), atpg.WithInterleavedSim(1)}},
+		{"serial=1", []atpg.Option{atpg.WithWordWidth(1)}},
 		{"adaptive=8", []atpg.Option{atpg.WithEscalation(8)}},
 		{"adaptive=64", []atpg.Option{atpg.WithEscalation(atpg.DefaultWordWidth)}},
 		{"guided=auto", []atpg.Option{atpg.WithGuidedEscalation(true)}},
@@ -215,7 +215,6 @@ func BenchmarkGroupingWide(b *testing.B) {
 		b.Run(fmt.Sprintf("fixed=%d", width), func(b *testing.B) {
 			opts := core.DefaultOptions(sensitize.Robust)
 			opts.WordWidth = width
-			opts.FaultSimInterval = width
 			for i := 0; i < b.N; i++ {
 				core.New(c, opts).Run(context.Background(), faults)
 			}

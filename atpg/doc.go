@@ -51,9 +51,12 @@
 //   - [WithBacktrackLimit] bounds the conventional backtracks APTPG spends
 //     per fault before aborting it (the abort limit behind the efficiency
 //     column of Tables 3 and 4).
-//   - [WithInterleavedSim] sets the interleaved fault-simulation interval:
-//     the paper simulates the pending faults after every L generated
-//     patterns and drops the detected ones.
+//   - [WithInterleavedSim] switches the fault-simulation dropping: the
+//     paper simulates the pending faults after every L generated patterns
+//     and drops the detected ones.  The engine simulates each work unit's
+//     faults against the existing patterns when the unit is claimed, at
+//     every worker count; a positive value turns this on and sets no
+//     cadence (the int type stays for the wire format and ledgers).
 //   - [WithProgress] registers a callback invoked as each fault settles;
 //     it observes the same stream [Engine.Stream] yields.
 //

@@ -76,9 +76,6 @@ type Option func(*engineConfig) error
 // frozen into core options by New.
 type engineConfig struct {
 	opts core.Options
-	// simInterval, when nil, tracks the word width (the paper simulates
-	// after every L generated patterns).
-	simInterval *int
 	// workers is the resolved worker count; 0 (option absent) means 1, the
 	// sequential engine.
 	workers  int
@@ -147,16 +144,21 @@ func WithAlternativeParallel(on bool) Option {
 	}
 }
 
-// WithInterleavedSim sets the interleaved fault-simulation interval: after
-// every interval generated patterns the pending faults are fault-simulated
-// and the detected ones dropped.  0 disables the simulation.  The default
-// follows the paper and simulates after every L patterns.
+// WithInterleavedSim switches the interleaved fault-simulation dropping
+// (default: on).  A positive interval turns it on: when a worker claims a
+// unit of faults, the patterns generated so far are fault-simulated against
+// them and the detected ones are dropped without a search — the paper's
+// dropping after every L patterns, done per unit at every worker count,
+// local or remote.  The value sets no cadence; only its sign matters.
+// 0 disables the simulation and negative values fail construction.  The
+// parameter stays an int because the service wire format and resume
+// ledgers carry it as one.
 func WithInterleavedSim(interval int) Option {
 	return func(c *engineConfig) error {
 		if interval < 0 {
 			return fmt.Errorf("atpg: negative fault-simulation interval %d", interval)
 		}
-		c.simInterval = &interval
+		c.opts.FaultSimInterval = interval
 		return nil
 	}
 }

@@ -8,7 +8,10 @@
 //	diff local.status remote.status && diff local.tests remote.tests
 //
 // With the interleaved simulation off (-sim 0) both diffs are empty by the
-// service's determinism contract, for any worker fleet.
+// service's determinism contract, for any worker fleet.  With it on, the
+// statuses still match a "tip -workers 1" run when one atpgd worker serves
+// the job, since both drop faults by the same claim-time sweep; the -out
+// files differ in pattern order (tip -workers 1 writes generation order).
 package main
 
 import (
@@ -46,7 +49,7 @@ func main() {
 		compactStr  = flag.String("compact", "", "static test-set compaction: none, reverse or full")
 		xfill       = flag.String("xfill", "", "don't-care fill for merged pairs: zero, one or random")
 		xfillSeed   = flag.Int64("xfill-seed", 1995, "seed for -xfill random")
-		sim         = flag.Int("sim", -1, "interleaved fault-simulation interval in patterns (0 = off, -1 = track the word width)")
+		sim         = flag.Int("sim", -1, "fault-simulation dropping at unit claim: any positive value = on (sets no cadence; an integer so existing -sim N invocations keep working), 0 = off, -1 = default (on)")
 		out         = flag.String("out", "", "write the merged test set to this file")
 		statuses    = flag.String("statuses", "", "write one 'fault<TAB>status' line per target fault (input order) to this file")
 		verbose     = flag.Bool("v", false, "stream one line per fault as it settles")

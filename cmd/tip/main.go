@@ -37,7 +37,7 @@ func main() {
 		compactStr  = flag.String("compact", "none", "static test-set compaction: none, reverse (reverse-order sim dropping) or full (+ compatible-pair merging)")
 		xfill       = flag.String("xfill", "zero", "don't-care fill for merged pairs: zero, one or random")
 		xfillSeed   = flag.Int64("xfill-seed", 1995, "seed for -xfill random")
-		sim         = flag.Int("sim", -1, "interleaved fault-simulation interval in patterns (0 = off, -1 = track the word width)")
+		sim         = flag.Int("sim", -1, "fault-simulation dropping at unit claim: any positive value = on (sets no cadence; an integer so existing -sim N invocations keep working), 0 = off, -1 = default (on)")
 		out         = flag.String("out", "", "write the generated test set to this file")
 		statuses    = flag.String("statuses", "", "write one 'fault<TAB>status' line per target fault (input order) to this file")
 		verbose     = flag.Bool("v", false, "print one line per fault")

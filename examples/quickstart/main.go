@@ -30,8 +30,8 @@ func main() {
 		len(faults), c.PathCount().String())
 
 	// 3. Build the engine with the default robust options: FPTPG first,
-	//    APTPG for the hard faults, fault simulation after every 64
-	//    generated patterns.
+	//    APTPG for the hard faults, fault-simulation dropping of the
+	//    faults existing patterns already detect.
 	e, err := atpg.New(c, atpg.WithMode(atpg.Robust))
 	if err != nil {
 		panic(err)

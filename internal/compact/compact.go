@@ -1,9 +1,10 @@
 // Package compact implements static test-set compaction for path delay
 // fault test sets.  Generation leaves redundant patterns whatever the worker
-// count: sequential runs drop faults by exclusive interval simulation,
-// multi-worker runs by claim-time sweeps, and neither yields a minimal set
-// (c880 with 3000 faults: 738 patterns at one worker, 700 at two).
-// Compaction removes the redundancy after the fact.
+// count: a claim-time sweep drops only the faults the patterns that exist
+// when a unit is claimed already detect, so a later pattern can still cover
+// the fault an earlier one was generated for (c880 with 3000 faults: 669
+// patterns at one worker).  Compaction removes the redundancy after the
+// fact.
 //
 // Two classic passes are combined, both bit-parallel: merging compares
 // pairs 64 inputs to a word on packed bit planes, and simulation runs 64

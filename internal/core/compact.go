@@ -40,10 +40,6 @@ func (g *Generator) compactRun(faults []paths.Fault, results []FaultResult, base
 	}
 	g.testSet.Truncate(base)
 	g.testSet.Append(compacted)
-	// Patterns already in the set are final: later sequential runs on this
-	// generator must not re-simulate them.
-	g.lastSimmed = g.testSet.Len()
-	g.newPatterns = 0
 
 	// Remap the run's pattern indices onto the compacted set.  One more
 	// parallel-pattern pass; detection of every covered fault is guaranteed

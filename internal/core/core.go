@@ -49,7 +49,7 @@ const (
 	// Aborted: the generator gave up within its backtrack/iteration limits.
 	Aborted
 	// DetectedBySim: the fault was dropped because a pattern generated for
-	// another fault already detects it (found by the interleaved fault
+	// another fault already detects it (found by the claim-time fault
 	// simulation).
 	DetectedBySim
 )
@@ -119,10 +119,14 @@ type Options struct {
 	// MaxBacktracks bounds the conventional backtracks per fault in APTPG
 	// before the fault is aborted.
 	MaxBacktracks int
-	// FaultSimInterval runs parallel-pattern fault simulation over the
-	// pending faults after every FaultSimInterval generated patterns and
-	// drops the detected ones; 0 disables it.  The paper simulates after
-	// every L generated patterns.
+	// FaultSimInterval switches fault-simulation dropping: any positive
+	// value turns it on, 0 turns it off, and the value sets no cadence.
+	// When on, every claimed work unit is first parallel-pattern simulated
+	// against the patterns that exist at claim time, and the faults they
+	// detect are dropped without a search — the paper's dropping after
+	// every L patterns, done per unit at every worker count, local or
+	// remote.  The field stays an int because the service wire format, the
+	// resume ledgers and the perfbench workloads carry it as one.
 	FaultSimInterval int
 	// SubpathPruning records the minimal conflicting subpath of every fault
 	// proved redundant without decisions, and prunes later faults containing
@@ -183,8 +187,8 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration used by the experiments: robust
-// or nonrobust mode with the full word width, both phases enabled, fault
-// simulation after every L patterns and moderate abort limits.
+// or nonrobust mode with the full word width, both phases enabled,
+// claim-time fault-simulation dropping and moderate abort limits.
 func DefaultOptions(mode sensitize.Mode) Options {
 	return Options{
 		Mode:             mode,
@@ -204,7 +208,6 @@ func DefaultOptions(mode sensitize.Mode) Options {
 func SingleBitOptions(mode sensitize.Mode) Options {
 	o := DefaultOptions(mode)
 	o.WordWidth = 1
-	o.FaultSimInterval = 1
 	return o
 }
 

@@ -333,7 +333,6 @@ func TestWordWidthSweep(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512} {
 		opts := DefaultOptions(sensitize.Robust)
 		opts.WordWidth = width
-		opts.FaultSimInterval = width
 		_, results := runAll(t, c, opts)
 		if abortedCount(results) != 0 {
 			t.Fatalf("width %d: unexpected aborts", width)
@@ -384,9 +383,11 @@ func TestSubpathPruning(t *testing.T) {
 
 // TestFaultSimulationDrop: a pattern generated for one fault drops a second
 // fault that shares the same launch and side conditions, through the
-// interleaved fault simulation.  The circuit is built so the drop is
+// claim-time fault simulation.  The circuit is built so the drop is
 // guaranteed: z1 = AND(a,b) and z2 = NAND(a,b) share the side condition
-// b = 1 for a rising launch at a.
+// b = 1 for a rising launch at a.  The drop must not depend on the interval
+// value: an interval far above the run's pattern count still drops the
+// second fault when its unit is claimed.
 func TestFaultSimulationDrop(t *testing.T) {
 	bld := circuit.NewBuilder("simdrop")
 	a := bld.Input("a")
@@ -403,31 +404,33 @@ func TestFaultSimulationDrop(t *testing.T) {
 		{Path: paths.Path{Nets: []circuit.NetID{a, z1}}, Transition: paths.Rising},
 		{Path: paths.Path{Nets: []circuit.NetID{a, z2}}, Transition: paths.Rising},
 	}
-	opts := SingleBitOptions(sensitize.Robust)
-	opts.FaultSimInterval = 1
-	g := New(c, opts)
-	results := g.Run(context.Background(), faults)
-	if !results[0].Status.Detected() || !results[1].Status.Detected() {
-		t.Fatalf("both faults should be detected: %v, %v", results[0].Status, results[1].Status)
-	}
-	if g.Stats().DetectedBySim != 1 {
-		t.Errorf("DetectedBySim = %d, want 1 (the second fault dropped by simulation)", g.Stats().DetectedBySim)
-	}
-	if results[1].Status != DetectedBySim || results[1].Phase != PhaseSimulation {
-		t.Errorf("second fault should be detected by simulation, got %v/%v", results[1].Status, results[1].Phase)
-	}
+	for _, interval := range []int{1, 64} {
+		opts := SingleBitOptions(sensitize.Robust)
+		opts.FaultSimInterval = interval
+		g := New(c, opts)
+		results := g.Run(context.Background(), faults)
+		if !results[0].Status.Detected() || !results[1].Status.Detected() {
+			t.Fatalf("interval %d: both faults should be detected: %v, %v", interval, results[0].Status, results[1].Status)
+		}
+		if g.Stats().DetectedBySim != 1 {
+			t.Errorf("interval %d: DetectedBySim = %d, want 1 (the second fault dropped by simulation)", interval, g.Stats().DetectedBySim)
+		}
+		if results[1].Status != DetectedBySim || results[1].Phase != PhaseSimulation {
+			t.Errorf("interval %d: second fault should be detected by simulation, got %v/%v", interval, results[1].Status, results[1].Phase)
+		}
 
-	// Switching fault simulation off must not reduce coverage, and nothing
-	// may then be attributed to simulation.
-	opts.FaultSimInterval = 0
-	g2 := New(c, opts)
-	results2 := g2.Run(context.Background(), faults)
-	if detectedCount(results2) < detectedCount(results) {
-		t.Errorf("coverage without fault simulation (%d) below coverage with it (%d)",
-			detectedCount(results2), detectedCount(results))
-	}
-	if g2.Stats().DetectedBySim != 0 {
-		t.Error("fault simulation disabled but faults dropped by it")
+		// Switching fault simulation off must not reduce coverage, and
+		// nothing may then be attributed to simulation.
+		opts.FaultSimInterval = 0
+		g2 := New(c, opts)
+		results2 := g2.Run(context.Background(), faults)
+		if detectedCount(results2) < detectedCount(results) {
+			t.Errorf("coverage without fault simulation (%d) below coverage with it (%d)",
+				detectedCount(results2), detectedCount(results))
+		}
+		if g2.Stats().DetectedBySim != 0 {
+			t.Error("fault simulation disabled but faults dropped by it")
+		}
 	}
 }
 

@@ -56,12 +56,12 @@ type Generator struct {
 	// be treated as immutable.
 	OnPattern func(pattern.Pair)
 
-	// ImportPatterns, when non-nil, is polled at every fault-simulation
-	// point for patterns generated outside this generator (by other workers
-	// of a sharded run).  The returned pairs are fault-simulated against the
-	// still-pending faults, and detected faults are dropped exactly like
-	// drops from the generator's own interleaved simulation, except that
-	// their PatternIndex is -1: foreign patterns have no index in this
+	// ImportPatterns, when non-nil, is polled at every unit claim for
+	// patterns generated outside this generator (by other workers of a
+	// sharded run).  The returned pairs join the foreign buffer the claim
+	// sweep simulates against the claimed faults; a fault they detect is
+	// dropped like one detected by the generator's own patterns, except that
+	// its PatternIndex is -1: foreign patterns have no index in this
 	// generator's test set.  It is ignored while FaultSimInterval is 0.
 	ImportPatterns func() []pattern.Pair
 
@@ -69,11 +69,6 @@ type Generator struct {
 	// proved unsensitizable to true; faults containing such a prefix are
 	// redundant without further work.
 	redundantPrefixes map[string]bool
-
-	// newPatterns counts patterns generated since the last interleaved fault
-	// simulation; lastSimmed is the test-set index already simulated.
-	newPatterns int
-	lastSimmed  int
 
 	// runBase is the test-set length at the start of the current run: the
 	// claim-time sweep only simulates the run's own patterns, so faults of
@@ -225,27 +220,16 @@ func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult
 	return results
 }
 
-// consume drains the scheduler as worker w: it claims units, drops claimed
-// faults that existing patterns already detect, processes the rest as
-// word-parallel groups, and runs the interleaved fault simulation.  Each
-// fault index of a unit refers into recs.
-//
-// The simulation scope follows ownership.  A single-worker scheduler gives
-// the consumer exclusive ownership of every record, so each pattern batch
-// is simulated once against all still-pending faults at the interval points
-// (the paper's dropping, linear in the pattern count) and no claim-time
-// sweep is needed.  With several workers a record is only safely mutable
-// after its unit is claimed, so the eager scope shrinks to the claimed
-// records and each claimed unit is instead swept once against the patterns
-// that accumulated before it was claimed.
+// consume drains the scheduler as worker w: it claims units and runs each
+// through the per-unit body every entry point shares (ProcessRemoteUnit
+// included): a claim sweep that drops the unit's faults existing patterns
+// already detect, then processUnit for the rest.  Each fault index of a unit
+// refers into recs.  A record is only mutated once its unit is claimed, so
+// the same body serves one worker and many; with one worker the claim order
+// is the unit order and the run is deterministic.
 //
 //atpgvet:ctxloop
 func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, recs []*rec, ps PassSpec) {
-	exclusive := sc.Workers() == 1
-	scope := recs
-	if !exclusive {
-		scope = nil
-	}
 	for ctx.Err() == nil {
 		u, ok := sc.Next(w)
 		if !ok {
@@ -257,14 +241,8 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 			unit[i] = recs[f]
 			unit[i].worker = w
 		}
-		if !exclusive {
-			g.claimSweep(unit)
-			scope = append(scope, unit...)
-		}
+		g.claimSweep(unit)
 		g.processUnit(ctx, unit, ps)
-		if ctx.Err() == nil {
-			g.maybeSimulate(scope)
-		}
 	}
 }
 
@@ -323,11 +301,11 @@ func (g *Generator) processUnit(ctx context.Context, unit []*rec, ps PassSpec) {
 
 // claimSweep drops just-claimed faults that are already detected: by a
 // pattern another worker published (the accumulated foreign buffer), or by a
-// pattern this worker generated earlier in the run.  It runs at unit claim
-// time on multi-worker schedulers — where a worker cannot eagerly drop
-// faults it has not claimed — so a fault is never searched when the
-// worker's existing tests already cover it.  Disabled together with the
-// interleaved simulation.
+// pattern this generator produced earlier in the run.  It is the engine's
+// only simulation-based dropping, run at every unit claim whatever the
+// worker count, so a fault is never searched when the tests that exist when
+// its unit is claimed already cover it.  It runs whenever FaultSimInterval
+// is positive; the interval's value sets no cadence.
 func (g *Generator) claimSweep(unit []*rec) {
 	if g.opts.FaultSimInterval <= 0 {
 		return
@@ -909,7 +887,6 @@ func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 	r.res.PatternIndex = idx
 	g.stats.Tested++
 	g.stats.Patterns++
-	g.newPatterns++
 	g.settle(r)
 	return true
 }
@@ -956,34 +933,8 @@ func (g *Generator) settle(r *rec) {
 }
 
 // ---------------------------------------------------------------------------
-// Interleaved fault simulation.
+// Claim-time fault simulation.
 // ---------------------------------------------------------------------------
-
-// maybeSimulate drops still-pending faults that are already detected by
-// existing patterns.  Patterns imported from other workers of a sharded run
-// are simulated whenever they arrive (and kept in the foreign buffer for the
-// claim-time sweep of later units); the generator's own patterns are
-// simulated after every FaultSimInterval of them, as the paper does after
-// every L generated patterns.
-func (g *Generator) maybeSimulate(recs []*rec) {
-	if g.opts.FaultSimInterval <= 0 {
-		return
-	}
-	if g.ImportPatterns != nil {
-		if foreign := g.ImportPatterns(); len(foreign) > 0 {
-			g.foreign = append(g.foreign, foreign...)
-			g.dropDetected(recs, foreign, -1)
-		}
-	}
-	if g.newPatterns < g.opts.FaultSimInterval {
-		return
-	}
-	g.newPatterns = 0
-	base := g.lastSimmed
-	pairs := g.testSet.Pairs[base:]
-	g.lastSimmed = g.testSet.Len()
-	g.dropDetected(recs, pairs, base)
-}
 
 // dropDetected fault-simulates the pairs against every still-pending fault
 // and settles the detected ones as DetectedBySim.  base is the test-set

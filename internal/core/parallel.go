@@ -283,10 +283,6 @@ func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []F
 	for _, g := range gens {
 		master.absorbState(g)
 	}
-	// Merged patterns are final results of a completed run: they must not be
-	// re-simulated by a later sequential Run on master.
-	master.lastSimmed = master.testSet.Len()
-	master.newPatterns = 0
 }
 
 // reconcileDrops resolves the classifications that depend on the run's

@@ -28,7 +28,10 @@ import (
 // classification.  With the interleaved simulation on, outcomes additionally
 // depend on which patterns arrived before the claim, so — exactly as across
 // local workers — only the coverage class (Tested vs DetectedBySim) is
-// stable, not the individual statuses.
+// stable, not the individual statuses.  The exception is one worker on each
+// side: a local run and a remote worker drop faults by the same claim sweep
+// (claimSweep, then processUnit), both see the patterns in unit order, and
+// so every status matches.
 
 // RemoteOutcome is the outcome of one fault of a remotely processed work
 // unit, as reported back by a worker.  It carries everything the coordinator
@@ -274,10 +277,6 @@ func (rr *RemoteRun) mergeOutcomes() {
 		}
 		r.PatternIndex = idx
 	}
-	// Merged patterns are final results of a completed run: they must not be
-	// re-simulated by a later sequential Run on the master.
-	m.lastSimmed = m.testSet.Len()
-	m.newPatterns = 0
 }
 
 // EffortDelta returns the search-effort counters accumulated between the
@@ -310,8 +309,6 @@ func (g *Generator) ImportRemoteRun(results []FaultResult, set *pattern.Set, sta
 	if set != nil {
 		g.testSet.Append(set)
 	}
-	g.lastSimmed = g.testSet.Len()
-	g.newPatterns = 0
 	g.stats.Add(stats)
 	out := make([]FaultResult, len(results))
 	copy(out, results)

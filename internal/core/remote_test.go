@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -61,54 +62,69 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 // TestRemoteRunMatchesLocal is the distributed counterpart of
 // TestShardedMatchesSequential: a RemoteRun dispatched to in-process remote
 // workers must classify every fault like the local sharded engine with the
-// same options.  With the interleaved simulation off, unit outcomes are pure
-// per-fault functions, so statuses, pattern indices, the serialized test set
-// and the deterministic statistics must all be bit-identical; with it on,
-// outcomes depend on pattern arrival order, so — as across local workers —
-// the coverage class and the redundancy proofs must match.
+// same options and worker count.  With the fault simulation off, unit
+// outcomes are pure per-fault functions, so statuses, pattern indices, the
+// serialized test set and the deterministic statistics must all be
+// bit-identical.  With it on, outcomes depend on pattern arrival order: at
+// two workers — as across local workers — only the coverage class and the
+// redundancy proofs must match, but at one worker both sides drop faults by
+// the same claim sweep in unit order, so every status and classification
+// counter must match too.
 func TestRemoteRunMatchesLocal(t *testing.T) {
+	configs := []struct{ workers, sim, escalate int }{
+		{2, 0, 8}, {2, 8, 8},
+		{1, 8, 0}, {1, 8, 8}, {1, 64, 0}, {1, 64, 8},
+	}
 	for _, name := range []string{"c17", "paper", "redundant", "adder8", "c432"} {
 		c, err := bench.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		faults := paths.EnumerateFaults(c, 0)
-		if len(faults) > 256 {
-			faults = paths.SampleFaults(c, 256, 1995)
+		if len(faults) > 512 {
+			faults = paths.SampleFaults(c, 512, 1995)
 		}
-		for _, simInterval := range []int{0, 8} {
+		for _, cfg := range configs {
+			id := fmt.Sprintf("%s workers=%d sim=%d escalate=%d", name, cfg.workers, cfg.sim, cfg.escalate)
 			opts := DefaultOptions(sensitize.Robust)
-			opts.FaultSimInterval = simInterval
+			opts.FaultSimInterval = cfg.sim
 			opts.Schedule = sched.Steal
-			opts.EscalationWidth = 8
+			opts.EscalationWidth = cfg.escalate
 			opts.Compaction = compact.Reverse
 
 			local := New(c, opts)
-			want := RunSharded(context.Background(), local, faults, 2)
+			want := RunSharded(context.Background(), local, faults, cfg.workers)
 
 			master := New(c, opts)
 			rr := NewRemoteRun(master, faults)
-			got := dispatchInProcess(context.Background(), rr, master, faults, 2)
+			got := dispatchInProcess(context.Background(), rr, master, faults, cfg.workers)
 
 			if len(got) != len(want) {
-				t.Fatalf("%s sim=%d: %d remote results for %d faults", name, simInterval, len(got), len(faults))
+				t.Fatalf("%s: %d remote results for %d faults", id, len(got), len(faults))
 			}
+			exact := cfg.sim == 0 || cfg.workers == 1
 			for i := range got {
-				if simInterval == 0 {
-					if got[i].Status != want[i].Status {
-						t.Errorf("%s sim=0: fault %s is %v remote, %v local",
-							name, got[i].Fault.Key(), got[i].Status, want[i].Status)
-					}
-					if got[i].PatternIndex != want[i].PatternIndex {
-						t.Errorf("%s sim=0: fault %s pattern index %d remote, %d local",
-							name, got[i].Fault.Key(), got[i].PatternIndex, want[i].PatternIndex)
-					}
-				} else if classOf(got[i].Status) != classOf(want[i].Status) {
-					t.Errorf("%s sim=%d: fault %s is %v remote, %v local (coverage class moved)",
-						name, simInterval, got[i].Fault.Key(), got[i].Status, want[i].Status)
+				switch {
+				case exact && got[i].Status != want[i].Status:
+					t.Errorf("%s: fault %s is %v remote, %v local",
+						id, got[i].Fault.Key(), got[i].Status, want[i].Status)
+				case classOf(got[i].Status) != classOf(want[i].Status):
+					t.Errorf("%s: fault %s is %v remote, %v local (coverage class moved)",
+						id, got[i].Fault.Key(), got[i].Status, want[i].Status)
+				}
+				if cfg.sim == 0 && got[i].PatternIndex != want[i].PatternIndex {
+					t.Errorf("%s: fault %s pattern index %d remote, %d local",
+						id, got[i].Fault.Key(), got[i].PatternIndex, want[i].PatternIndex)
 				}
 			}
-			if simInterval == 0 {
+			ls, rs := local.Stats(), master.Stats()
+			if exact && (ls.Tested != rs.Tested || ls.DetectedBySim != rs.DetectedBySim ||
+				ls.Redundant != rs.Redundant || ls.Aborted != rs.Aborted ||
+				ls.Patterns != rs.Patterns || ls.FirstPassSettled != rs.FirstPassSettled ||
+				ls.Escalated != rs.Escalated) {
+				t.Errorf("%s: classification stats differ: local %+v remote %+v", id, ls, rs)
+			}
+			if cfg.sim == 0 {
 				var lb, rb strings.Builder
 				if err := local.TestSet().Write(&lb); err != nil {
 					t.Fatal(err)
@@ -117,18 +133,15 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 					t.Fatal(err)
 				}
 				if lb.String() != rb.String() {
-					t.Errorf("%s sim=0: merged test sets differ:\nlocal:\n%s\nremote:\n%s",
-						name, lb.String(), rb.String())
+					t.Errorf("%s: merged test sets differ:\nlocal:\n%s\nremote:\n%s",
+						id, lb.String(), rb.String())
 				}
-				ls, rs := local.Stats(), master.Stats()
-				if ls.Tested != rs.Tested || ls.Redundant != rs.Redundant ||
-					ls.Aborted != rs.Aborted || ls.Patterns != rs.Patterns ||
-					ls.Decisions != rs.Decisions || ls.Backtracks != rs.Backtracks {
-					t.Errorf("%s sim=0: stats differ: local %+v remote %+v", name, ls, rs)
+				if ls.Decisions != rs.Decisions || ls.Backtracks != rs.Backtracks {
+					t.Errorf("%s: search effort differs: local %+v remote %+v", id, ls, rs)
 				}
 			}
-			if lc, rc := local.Stats().Coverage(), master.Stats().Coverage(); lc != rc {
-				t.Errorf("%s sim=%d: coverage %v remote, %v local", name, simInterval, rc, lc)
+			if lc, rc := ls.Coverage(), rs.Coverage(); lc != rc {
+				t.Errorf("%s: coverage %v remote, %v local", id, rc, lc)
 			}
 		}
 	}

@@ -68,7 +68,6 @@ func RunWordWidthAblation(cfg Config, widths []int) []AblationRow {
 		width := w
 		rows = append(rows, runAblation(fmt.Sprintf("L=%d", width), cfg, p, func(o *core.Options) {
 			o.WordWidth = width
-			o.FaultSimInterval = width
 		}))
 	}
 	return rows
@@ -86,8 +85,8 @@ func RunModeAblation(cfg Config) []AblationRow {
 	}
 }
 
-// RunFaultSimAblation compares generation with and without the interleaved
-// parallel-pattern fault simulation after every L patterns.
+// RunFaultSimAblation compares generation with and without the
+// parallel-pattern fault-simulation dropping.
 func RunFaultSimAblation(cfg Config) []AblationRow {
 	cfg = cfg.normalize()
 	p := ablationProfile()

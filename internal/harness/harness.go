@@ -137,7 +137,6 @@ func (cfg Config) sampleFaults(c *circuit.Circuit) []paths.Fault {
 func (cfg Config) generatorOptions() core.Options {
 	o := core.DefaultOptions(cfg.Mode)
 	o.WordWidth = cfg.WordWidth
-	o.FaultSimInterval = cfg.WordWidth
 	if cfg.MaxBacktracks > 0 {
 		o.MaxBacktracks = cfg.MaxBacktracks
 	}
@@ -154,7 +153,6 @@ func (cfg Config) generatorOptions() core.Options {
 func (cfg Config) singleBitOptions() core.Options {
 	o := cfg.generatorOptions()
 	o.WordWidth = 1
-	o.FaultSimInterval = 1
 	o.EscalationWidth = 0 // escalating into wide groups would defeat the baseline
 	o.GuidedEscalation = false
 	return o

@@ -129,9 +129,6 @@ func New(policy Policy, workers int) *Scheduler {
 	}
 }
 
-// Workers returns the number of worker queues.
-func (s *Scheduler) Workers() int { return len(s.queues) }
-
 // Load distributes the units across the worker queues: contiguous runs of
 // units, balanced by unit weight — the predicted Cost when the consumer set
 // one, the fault count otherwise (so an unweighted load reproduces the old

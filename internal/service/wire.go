@@ -94,15 +94,19 @@ func DecodeFaults(c *circuit.Circuit, wfs []WireFault) ([]paths.Fault, error) {
 
 // JobOptions mirror the engine options of the atpg facade in wire form.
 // Zero values select the engine defaults (robust mode, full word width, both
-// phases on, simulation after every L patterns), so an empty object is a
+// phases on, fault-simulation dropping on), so an empty object is a
 // valid configuration; the No* spellings keep "enabled" the zero value.
+// SimInterval is a switch, not a cadence: nil or any positive value turns
+// claim-time fault-simulation dropping on, 0 turns it off.  It stays an
+// integer so submissions and resume ledgers written with interval values
+// decode unchanged.
 type JobOptions struct {
 	Mode            string `json:"mode,omitempty"`         // "robust" (default) or "nonrobust"
 	WordWidth       int    `json:"word_width,omitempty"`   // 1..logic.MaxWordWidth; 0 = 64
 	Backtracks      int    `json:"backtracks,omitempty"`   // APTPG backtrack limit; 0 = default
 	NoFPTPG         bool   `json:"no_fptpg,omitempty"`     // disable the fault-parallel phase
 	NoAPTPG         bool   `json:"no_aptpg,omitempty"`     // disable the alternative-parallel phase
-	SimInterval     *int   `json:"sim_interval,omitempty"` // nil = word width; 0 disables
+	SimInterval     *int   `json:"sim_interval,omitempty"` // nil or positive = on; 0 disables
 	Schedule        string `json:"schedule,omitempty"`     // "static" (default) or "steal"
 	Escalate        int    `json:"escalate,omitempty"`     // escalation width; 0 = off
 	FirstPassBudget int    `json:"first_pass_budget,omitempty"`
@@ -145,8 +149,6 @@ func (o JobOptions) ToCore() (core.Options, error) {
 			return core.Options{}, fmt.Errorf("service: negative fault-simulation interval %d", *o.SimInterval)
 		}
 		opts.FaultSimInterval = *o.SimInterval
-	} else {
-		opts.FaultSimInterval = opts.WordWidth
 	}
 	if o.Schedule != "" {
 		p, err := sched.ParsePolicy(o.Schedule)
