@@ -192,15 +192,15 @@ func (e *Engine) Run(ctx context.Context, faults []Fault) ([]Result, error) {
 // After the stream ends, [Engine.Coverage] and [Engine.Tests] reflect
 // everything generated.
 //
-// The yield function always runs on the consumer's goroutine: in a parallel
-// engine the worker goroutines hand their settled results over a channel,
-// so ranging over the stream needs no synchronization.  One caveat of
-// parallel streams: the PatternIndex of a streamed result is worker-local
-// (or -1 for cross-shard simulation drops); indices into the merged test
-// set are only available from [Engine.Run].  Similarly, with
-// [WithCompaction] the results stream as faults settle — before the
-// compaction pass runs — so streamed indices refer to the uncompacted set;
-// after the stream ends, [Engine.Tests] returns the compacted set.
+// The yield function always runs on the consumer's goroutine: the run hands
+// its settled results over a channel at every worker count, so ranging over
+// the stream needs no synchronization.  Results stream as faults settle,
+// before the run's patterns are merged into their canonical order (and,
+// with [WithCompaction], compacted), so the PatternIndex of a streamed
+// result is pre-merge at every worker count: a worker-local index, or -1
+// for a simulation drop by another worker's pattern.  Indices into the
+// final test set are only available from [Engine.Run]; after the stream
+// ends, [Engine.Tests] returns the final set.
 func (e *Engine) Stream(ctx context.Context, faults []Fault) iter.Seq[Result] {
 	return func(yield func(Result) bool) {
 		if len(faults) == 0 {
@@ -217,33 +217,11 @@ func (e *Engine) Stream(ctx context.Context, faults []Fault) iter.Seq[Result] {
 		defer cancel()
 		defer func() { e.gen.OnSettle = nil }()
 
-		if e.workers <= 1 || len(faults) <= 1 {
-			stopped := false
-			e.gen.OnSettle = func(r Result) {
-				if e.progress != nil {
-					e.progress(r)
-				}
-				if stopped {
-					return
-				}
-				if !yield(r) {
-					stopped = true
-					cancel()
-				}
-			}
-			// Through RunSharded rather than Run directly so the run-level
-			// passes (static compaction of the fresh patterns) apply to
-			// sequential streams too.
-			core.RunSharded(runCtx, e.gen, faults, 1)
-			return
-		}
-
-		// Parallel run: workers settle faults on their own goroutines.  Every
-		// fault settles exactly once, so a buffer of len(faults) lets workers
-		// publish without ever blocking; the consumer drains on its own
-		// goroutine.  After an early break the channel is drained to
-		// completion so the engine's accumulated state is final (and the
-		// master generator idle) by the time the stream returns.
+		// The run settles faults off the consumer's goroutine.  Every fault
+		// settles exactly once, so a buffer of len(faults) lets the workers
+		// publish without ever blocking.  After an early break the channel is
+		// drained to completion so the engine's accumulated state is final
+		// (and the master generator idle) by the time the stream returns.
 		ch := make(chan Result, len(faults))
 		e.gen.OnSettle = func(r Result) {
 			if e.progress != nil {

@@ -1,7 +1,8 @@
 // The repository-level benchmarks regenerate every table and figure of the
-// paper's evaluation (see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-versus-measured results).  They live in the atpg
-// package directory because the public facade is the layer they exercise.
+// paper's evaluation (the "Paper-section map" of docs/ARCHITECTURE.md says
+// which package implements which table; the "Performance" section of
+// README.md records measured results).  They live in the atpg package
+// directory because the public facade is the layer they exercise.
 //
 // The benchmarks run the same harness code as cmd/experiments, but on
 // scaled-down circuit stand-ins and smaller fault samples so that
@@ -216,7 +217,7 @@ func BenchmarkGroupingWide(b *testing.B) {
 			opts := core.DefaultOptions(sensitize.Robust)
 			opts.WordWidth = width
 			for i := 0; i < b.N; i++ {
-				core.New(c, opts).Run(context.Background(), faults)
+				core.RunSharded(context.Background(), core.New(c, opts), faults, 1)
 			}
 		})
 	}
@@ -273,7 +274,7 @@ func BenchmarkFigure1FPTPG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := core.New(c, opts)
-		g.Run(context.Background(), faults)
+		core.RunSharded(context.Background(), g, faults, 1)
 	}
 }
 
@@ -290,7 +291,7 @@ func BenchmarkFigure2APTPG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := core.New(c, opts)
-		g.Run(context.Background(), []paths.Fault{f})
+		core.RunSharded(context.Background(), g, []paths.Fault{f}, 1)
 	}
 }
 
@@ -337,12 +338,12 @@ func BenchmarkAblationLogicWidth(b *testing.B) {
 	faults := paths.SampleFaults(c, 64, 3)
 	b.Run("robust", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.DefaultOptions(sensitize.Robust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.DefaultOptions(sensitize.Robust)), faults, 1)
 		}
 	})
 	b.Run("nonrobust", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.DefaultOptions(sensitize.Nonrobust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.DefaultOptions(sensitize.Nonrobust)), faults, 1)
 		}
 	})
 }
@@ -357,12 +358,12 @@ func BenchmarkSpeedupHeadline(b *testing.B) {
 	faults := paths.SampleFaults(c, 128, 5)
 	b.Run("bit-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.DefaultOptions(sensitize.Robust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.DefaultOptions(sensitize.Robust)), faults, 1)
 		}
 	})
 	b.Run("single-bit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.SingleBitOptions(sensitize.Robust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.SingleBitOptions(sensitize.Robust)), faults, 1)
 		}
 	})
 }

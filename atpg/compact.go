@@ -14,8 +14,9 @@ type CompactionLevel = compact.Level
 const (
 	// CompactNone disables compaction (the default).
 	CompactNone = compact.None
-	// CompactReverse re-simulates the pairs in reverse generation order and
-	// drops every pair that detects no not-yet-detected fault.
+	// CompactReverse re-simulates the pairs in reverse set order (for an
+	// engine run, the reverse of the canonical merged order) and drops every
+	// pair that detects no not-yet-detected fault.
 	CompactReverse = compact.Reverse
 	// CompactFull first merges pairs whose three-valued vectors are
 	// compatible (using the don't-care information of the unfilled pairs),

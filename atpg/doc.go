@@ -74,14 +74,14 @@
 // faults do not serialize on one worker.  The workers cooperate: patterns
 // emitted by one are fault-simulated against the others' pending faults,
 // so the interleaved-simulation dropping of the paper keeps working
-// across workers.  Results merge into the same deterministic,
-// input-ordered slice [Engine.Run] always returns — the merged test set
-// is reassembled in canonical fault order, so with the interleaved
-// simulation disabled it is identical for every worker count and dispatch
+// across workers.  Every worker count, one included, runs the same
+// pipeline: results come back in the deterministic, input-ordered slice
+// [Engine.Run] always returns, and the run's patterns are laid out in one
+// canonical, content-derived order, so with the interleaved simulation
+// disabled the test set is identical for every worker count and dispatch
 // policy (with it enabled, which covered fault contributes a pattern still
-// depends on cross-worker drop timing) — and the test set, statistics and
-// learned redundant subpaths accumulate in the engine exactly as in a
-// sequential run.
+// depends on cross-worker drop timing).  The test set, statistics and
+// learned redundant subpaths accumulate in the engine across runs.
 //
 // [WithEscalation] enables two-pass adaptive fault grouping: every fault
 // first runs fault-serial (width 1) under a cheap backtrack budget

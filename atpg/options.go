@@ -163,20 +163,24 @@ func WithInterleavedSim(interval int) Option {
 	}
 }
 
-// WithWorkers sets the number of worker goroutines the engine shards the
+// WithWorkers sets the number of worker goroutines the engine spreads the
 // fault list across, stacking core-level parallelism on top of the paper's
 // word-level bit parallelism: each worker owns an independent generator over
-// the shared immutable circuit and processes one contiguous shard of the
-// fault slice.  When the interleaved simulation is on, workers exchange
-// their patterns so one shard's tests still drop detected faults on the
-// others.  n = 0 selects runtime.GOMAXPROCS(0), one worker per available
-// core; negative counts fail construction.  The default is 1, the
-// sequential generator of the paper.
+// the shared immutable circuit and claims work units (word-parallel fault
+// groups) from a shared scheduler, as [WithSchedule] selects.  When the
+// interleaved simulation is on, workers exchange their patterns so one
+// worker's tests still drop detected faults on the others.  n = 0 selects
+// runtime.GOMAXPROCS(0), one worker per available core; negative counts
+// fail construction.  The default is 1, the sequential generator of the
+// paper.
 //
-// Sharding never changes which faults are covered, proved redundant or
+// Every worker count runs the same pipeline and ends in the same canonical
+// merge, so with the interleaved simulation off the per-fault statuses and
+// the test set are identical at any worker count.  With it on, the worker
+// count never changes which faults are covered, proved redundant or
 // aborted, but it can change whether a covered fault reports Tested (its
 // own pattern) or DetectedBySim (dropped by another fault's pattern), since
-// that depends on the cross-shard pattern arrival order.  Statistics
+// that depends on the cross-worker pattern arrival order.  Statistics
 // aggregate over the workers, so Stats time fields become CPU time rather
 // than wall-clock time.
 func WithWorkers(n int) Option {
@@ -198,9 +202,9 @@ func WithWorkers(n int) Option {
 // of groups; [ScheduleSteal] additionally lets idle workers steal queued
 // groups from the most loaded peer, which evens out fault lists whose hard
 // faults cluster.  The policy never changes what a run achieves: results
-// stay input-ordered, the merged test set is reassembled in canonical fault
-// order, and the covered/redundant/aborted classification of every fault is
-// policy-independent.  With the interleaved simulation disabled
+// stay input-ordered, the merged test set is laid out in one canonical,
+// content-derived order, and the covered/redundant/aborted classification
+// of every fault is policy-independent.  With the interleaved simulation disabled
 // (WithInterleavedSim(0)) the guarantee is exact — identical per-fault
 // statuses and an identical test set under both policies and any worker
 // count; with it enabled (the default), which of the two covered labels a
@@ -282,12 +286,10 @@ func WithProgress(fn func(Result)) Option {
 }
 
 // WithCompaction selects the static compaction applied to every run's test
-// set once after generation (and, with several workers, after the
-// deterministic merge — compaction is what claws back the size difference
-// between merged sharded sets and sequential ones):
+// set once after generation and the canonical merge:
 //
 //   - CompactNone (the default) leaves the set as generated;
-//   - CompactReverse re-simulates the pairs in reverse generation order and
+//   - CompactReverse re-simulates the pairs in reverse merged order and
 //     drops every pair detecting no not-yet-detected fault;
 //   - CompactFull additionally merges compatible pairs first, using the
 //     don't-care information of the unfilled pairs (which the engine then

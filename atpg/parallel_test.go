@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -93,7 +94,8 @@ func TestWorkersMatchSequential(t *testing.T) {
 // TestWorkersExactStatusesWithoutSim tightens the equivalence: with the
 // interleaved simulation disabled every fault's search is independent of
 // the others, so the per-fault statuses (not just the coverage classes)
-// must be identical for any worker count.
+// must be identical for any worker count, and the canonical merge must
+// write the same test set byte for byte.
 func TestWorkersExactStatusesWithoutSim(t *testing.T) {
 	for name, c := range cSuite(t) {
 		faults := suiteFaults(c)
@@ -120,8 +122,16 @@ func TestWorkersExactStatusesWithoutSim(t *testing.T) {
 						name, workers, c.Describe(got[i].Fault), got[i].Status, want[i].Status)
 				}
 			}
-			if got, want := e.Tests().Len(), base.Tests().Len(); got != want {
-				t.Errorf("%s workers=%d: merged test set has %d pairs, sequential %d", name, workers, got, want)
+			var gotSet, wantSet strings.Builder
+			if err := e.Tests().Write(&gotSet); err != nil {
+				t.Fatal(err)
+			}
+			if err := base.Tests().Write(&wantSet); err != nil {
+				t.Fatal(err)
+			}
+			if gotSet.String() != wantSet.String() {
+				t.Errorf("%s workers=%d: merged test set (%d pairs) differs from the one-worker set (%d pairs)",
+					name, workers, e.Tests().Len(), base.Tests().Len())
 			}
 		}
 	}

@@ -8,10 +8,11 @@
 //	diff local.status remote.status && diff local.tests remote.tests
 //
 // With the interleaved simulation off (-sim 0) both diffs are empty by the
-// service's determinism contract, for any worker fleet.  With it on, the
-// statuses still match a "tip -workers 1" run when one atpgd worker serves
-// the job, since both drop faults by the same claim-time sweep; the -out
-// files differ in pattern order (tip -workers 1 writes generation order).
+// service's determinism contract, for any worker fleet and any tip
+// -workers count: local and remote runs end in the same canonical merge.
+// With it on, both files still match a "tip -workers 1" run when one atpgd
+// worker serves the job, since both drop faults by the same claim-time
+// sweep.
 package main
 
 import (

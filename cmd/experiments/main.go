@@ -2,8 +2,9 @@
 // nonrobust ATPG over the ISCAS85-class suite (Tables 3 and 4), the
 // bit-parallel versus single-bit comparison on the ISCAS89-class suite
 // (Tables 5 and 6), the comparison against a conventional structural
-// generator (Tables 7 and 8), the headline speed-up summary, and the
-// ablation studies described in DESIGN.md.
+// generator (Tables 7 and 8), the headline speed-up summary, and ablation
+// studies of the engine's options (see the "Paper-section map" of
+// docs/ARCHITECTURE.md).
 //
 // Usage:
 //

@@ -77,7 +77,12 @@ func main() {
 	} else {
 		faults = atpg.SampleFaults(c, *numFaults, *seed)
 	}
-	fmt.Printf("target faults: %d (%s)\n", len(faults), m)
+	// SampleFaults draws with replacement, so a sample can repeat a fault.
+	distinct := make(map[string]bool, len(faults))
+	for _, f := range faults {
+		distinct[f.Key()] = true
+	}
+	fmt.Printf("target faults: %d (%d distinct), mode %s\n", len(faults), len(distinct), m)
 
 	engineOpts := []atpg.Option{
 		atpg.WithMode(m),

@@ -111,7 +111,7 @@ func generateWidth(t testing.TB, name string, n int, mode sensitize.Mode, width 
 		opts.WordWidth = width
 	}
 	g := core.New(c, opts)
-	g.Run(context.Background(), faults)
+	core.RunSharded(context.Background(), g, faults, 1)
 	return c, faults, g.TestSet()
 }
 
@@ -213,7 +213,7 @@ func TestMergeUsesUnfilledPairs(t *testing.T) {
 	opts := core.DefaultOptions(sensitize.Robust)
 	opts.EmitUnfilled = true
 	g := core.New(c, opts)
-	g.Run(context.Background(), faults)
+	core.RunSharded(context.Background(), g, faults, 1)
 	set := g.TestSet()
 	if set.Unfilled == nil {
 		t.Fatal("generator did not record unfilled pairs despite EmitUnfilled")

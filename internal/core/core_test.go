@@ -21,7 +21,7 @@ func runAll(t *testing.T, c *circuit.Circuit, opts Options) (*Generator, []Fault
 	t.Helper()
 	faults := paths.EnumerateFaults(c, 0)
 	g := New(c, opts)
-	results := g.Run(context.Background(), faults)
+	results := RunSharded(context.Background(), g, faults, 1)
 	if len(results) != len(faults) {
 		t.Fatalf("%s: %d results for %d faults", c.Name, len(results), len(faults))
 	}
@@ -236,7 +236,7 @@ func TestFigure1FPTPG(t *testing.T) {
 		}
 	}
 	g := New(c, DefaultOptions(sensitize.Nonrobust))
-	results := g.Run(context.Background(), faults)
+	results := RunSharded(context.Background(), g, faults, 1)
 	for _, r := range results {
 		if r.Status != Tested && r.Status != Redundant && r.Status != DetectedBySim {
 			t.Errorf("fault %s ended as %v; FPTPG/APTPG should settle every figure-1 fault",
@@ -266,7 +266,7 @@ func TestFigure2APTPG(t *testing.T) {
 	opts := DefaultOptions(sensitize.Nonrobust)
 	opts.UseFPTPG = false
 	g := New(c, opts)
-	results := g.Run(context.Background(), []paths.Fault{f})
+	results := RunSharded(context.Background(), g, []paths.Fault{f}, 1)
 	if !results[0].Status.Detected() {
 		t.Fatalf("path a-p-x (falling) should be testable, got %v", results[0].Status)
 	}
@@ -291,7 +291,7 @@ func TestPhaseAblations(t *testing.T) {
 	_, rBoth := runAll(t, c, both)
 	_, rA := runAll(t, c, aptpgOnly)
 	gF := New(c, fptpgOnly)
-	rF := gF.Run(context.Background(), paths.EnumerateFaults(c, 0))
+	rF := RunSharded(context.Background(), gF, paths.EnumerateFaults(c, 0), 1)
 
 	if detectedCount(rBoth) < detectedCount(rA) {
 		t.Error("combined configuration should not detect fewer faults than APTPG-only")
@@ -317,7 +317,7 @@ func TestPhaseAblations(t *testing.T) {
 	neither.UseFPTPG = false
 	neither.UseAPTPG = false
 	gN := New(c, neither)
-	rN := gN.Run(context.Background(), paths.EnumerateFaults(c, 4))
+	rN := RunSharded(context.Background(), gN, paths.EnumerateFaults(c, 4), 1)
 	for _, r := range rN {
 		if r.Status != Aborted {
 			t.Errorf("with both phases disabled every fault should abort, got %v", r.Status)
@@ -357,7 +357,7 @@ func TestSubpathPruning(t *testing.T) {
 	c := bench.RedundantExample()
 	opts := DefaultOptions(sensitize.Nonrobust)
 	g := New(c, opts)
-	results := g.Run(context.Background(), paths.EnumerateFaults(c, 0))
+	results := RunSharded(context.Background(), g, paths.EnumerateFaults(c, 0), 1)
 	pruned := 0
 	for _, r := range results {
 		if r.Phase == PhasePruning {
@@ -373,7 +373,7 @@ func TestSubpathPruning(t *testing.T) {
 	// Pruning must not change the classification: compare with pruning off.
 	opts.SubpathPruning = false
 	g2 := New(c, opts)
-	results2 := g2.Run(context.Background(), paths.EnumerateFaults(c, 0))
+	results2 := RunSharded(context.Background(), g2, paths.EnumerateFaults(c, 0), 1)
 	for i := range results {
 		if (results[i].Status == Redundant) != (results2[i].Status == Redundant) {
 			t.Errorf("pruning changed the classification of %s", results[i].Fault.Describe(c))
@@ -408,7 +408,7 @@ func TestFaultSimulationDrop(t *testing.T) {
 		opts := SingleBitOptions(sensitize.Robust)
 		opts.FaultSimInterval = interval
 		g := New(c, opts)
-		results := g.Run(context.Background(), faults)
+		results := RunSharded(context.Background(), g, faults, 1)
 		if !results[0].Status.Detected() || !results[1].Status.Detected() {
 			t.Fatalf("interval %d: both faults should be detected: %v, %v", interval, results[0].Status, results[1].Status)
 		}
@@ -423,7 +423,7 @@ func TestFaultSimulationDrop(t *testing.T) {
 		// nothing may then be attributed to simulation.
 		opts.FaultSimInterval = 0
 		g2 := New(c, opts)
-		results2 := g2.Run(context.Background(), faults)
+		results2 := RunSharded(context.Background(), g2, faults, 1)
 		if detectedCount(results2) < detectedCount(results) {
 			t.Errorf("coverage without fault simulation (%d) below coverage with it (%d)",
 				detectedCount(results2), detectedCount(results))
@@ -492,7 +492,7 @@ func TestSyntheticCircuitATPG(t *testing.T) {
 	faults := paths.SampleFaults(c, 200, 9)
 	for _, mode := range []sensitize.Mode{sensitize.Nonrobust, sensitize.Robust} {
 		g := New(c, DefaultOptions(mode))
-		results := g.Run(context.Background(), faults)
+		results := RunSharded(context.Background(), g, faults, 1)
 		st := g.Stats()
 		if st.Faults != len(faults) {
 			t.Fatalf("stats faults %d != %d", st.Faults, len(faults))

@@ -18,8 +18,8 @@ import (
 )
 
 // Generator is the bit-parallel path delay fault test pattern generator.
-// It is bound to one circuit and one option set; Run may be called several
-// times, accumulating into the same test set and statistics.
+// It is bound to one circuit and one option set; RunSharded may run it
+// several times, accumulating into the same test set and statistics.
 type Generator struct {
 	c    *circuit.Circuit
 	opts Options
@@ -47,13 +47,13 @@ type Generator struct {
 	// OnSettle, when non-nil, is invoked once for every fault whose
 	// classification becomes final, in the order the faults settle (which is
 	// generally not the order they were passed in).  It must be set before
-	// Run and must not call back into the generator.
+	// the run and must not call back into the generator.
 	OnSettle func(FaultResult)
 
 	// OnPattern, when non-nil, is invoked for every verified test pattern as
-	// it is added to the test set.  The sharded engine (RunSharded) uses it
-	// to publish each worker's patterns to the other workers; the pair must
-	// be treated as immutable.
+	// it is added to the test set.  RunSharded sets it on every worker for
+	// the duration of a run to publish the worker's patterns to the others;
+	// the pair must be treated as immutable.
 	OnPattern func(pattern.Pair)
 
 	// ImportPatterns, when non-nil, is polled at every unit claim for
@@ -87,9 +87,10 @@ type rec struct {
 	res    *FaultResult
 	cond   sensitize.Conditions
 	sensOK bool
-	// worker is the index of the worker that claimed the fault; the merge
-	// uses it to locate the worker-local test set a PatternIndex refers to.
-	worker int
+	// raw is the X-preserving form of a Tested fault's test when the options
+	// track unfilled patterns (Options.EmitUnfilled); mergeRun adds it to
+	// the merged set next to res.Test.
+	raw pattern.Pair
 }
 
 // newRecs builds the result slots and working records for a fault list.
@@ -161,8 +162,8 @@ func (g *Generator) Fork() *Generator {
 
 // absorbState merges a finished worker's non-pattern state back into g: its
 // statistics are added and the redundant subpaths it learned are kept for
-// later runs.  Patterns are merged separately, in canonical fault order, by
-// the sharded orchestrator (see mergeResults).  The worker must not be used
+// later runs.  Patterns are merged separately, in canonical order, from the
+// per-fault records (see mergeRun).  The worker must not be used
 // afterwards.
 func (g *Generator) absorbState(w *Generator) {
 	g.stats.Add(w.stats)
@@ -184,42 +185,6 @@ func (g *Generator) TestSet() *pattern.Set { return g.testSet }
 // Stats returns the accumulated statistics.
 func (g *Generator) Stats() Stats { return g.stats }
 
-// Run generates tests for the given target faults and returns one result per
-// fault, in the same order.  The context bounds the run: when it is canceled
-// or its deadline expires, generation stops at the next check point and every
-// fault that has not settled yet is returned as Aborted with the cancellation
-// cause in its Err field.  Callers that need to distinguish a canceled run
-// from a completed one inspect ctx.Err (or context.Cause) after Run returns.
-//
-// Internally the run is scheduler-driven: the fault list is cut into work
-// units (word-parallel groups) that a single consumer drains in input order,
-// in one pass or — with Options.EscalationWidth — in the two passes of
-// adaptive grouping.  The multi-worker variant of the same pipeline is
-// RunSharded.
-func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	sensAtStart := g.stats.SensitizeTime
-
-	results, recs := newRecs(faults)
-	g.stats.Faults += len(faults)
-	g.runBase = g.testSet.Len()
-
-	g.runPasses(recs, func(units []sched.Unit, ps PassSpec) {
-		sc := sched.New(g.opts.Schedule, 1)
-		sc.Load(units)
-		g.consume(ctx, sc, 0, recs, ps)
-		g.stats.Sched.Add(sc.Stats())
-	})
-	g.finish(ctx, recs)
-	g.reconcileDrops(results)
-
-	g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
-	return results
-}
-
 // consume drains the scheduler as worker w: it claims units and runs each
 // through the per-unit body every entry point shares (ProcessRemoteUnit
 // included): a claim sweep that drops the unit's faults existing patterns
@@ -230,6 +195,7 @@ func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult
 //
 //atpgvet:ctxloop
 func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, recs []*rec, ps PassSpec) {
+	defer g.addGenerateTime(time.Now(), g.stats.SensitizeTime)
 	for ctx.Err() == nil {
 		u, ok := sc.Next(w)
 		if !ok {
@@ -239,7 +205,6 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 		//atpgvet:ignore ctxloop -- bounded setup loop over one claimed unit (at most a word of faults), not a claim loop
 		for i, f := range u.Faults {
 			unit[i] = recs[f]
-			unit[i].worker = w
 		}
 		g.claimSweep(unit)
 		g.processUnit(ctx, unit, ps)
@@ -323,6 +288,12 @@ func (g *Generator) claimSweep(unit []*rec) {
 	}
 }
 
+// addGenerateTime books the time since start, less the sensitization time
+// spent since, as GenerateTime.
+func (g *Generator) addGenerateTime(start time.Time, sensAtStart time.Duration) {
+	g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
+}
+
 // finish sweeps up records that are still pending after the passes: faults
 // cut short by cancellation carry the cause in their Err field, anything
 // else (unreachable in a normal configuration) is Aborted.
@@ -393,7 +364,7 @@ func (g *Generator) sensitizeRec(r *rec) bool {
 // runGroup processes up to WordWidth faults simultaneously, one per bit
 // level, and returns the faults that need backtracking (handed to APTPG).
 // On context cancellation the group is abandoned mid-iteration; its unsettled
-// faults stay Pending and are swept up by Run.
+// faults stay Pending and are swept up by finish.
 func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 	var needPhase2 []*rec
 	active := logic.LevelsMask(len(batch))
@@ -872,11 +843,12 @@ func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 	if !g.verifyPattern(r.fault, p) {
 		return false
 	}
+	// The test set holds the run's working copy, which the claim sweeps
+	// simulate against; mergeRun replaces it, target descriptions included.
 	idx := g.testSet.Len()
+	g.testSet.Add(p, "")
 	if g.opts.EmitUnfilled {
-		g.testSet.AddUnfilled(p, raw, r.fault.Describe(g.c))
-	} else {
-		g.testSet.Add(p, r.fault.Describe(g.c))
+		r.raw = raw
 	}
 	if g.OnPattern != nil {
 		g.OnPattern(p)
@@ -939,8 +911,9 @@ func (g *Generator) settle(r *rec) {
 // dropDetected fault-simulates the pairs against every still-pending fault
 // and settles the detected ones as DetectedBySim.  base is the test-set
 // index of pairs[0]; a negative base marks foreign patterns that have no
-// index in this generator's test set (PatternIndex stays -1 and is
-// reconciled against the merged set by the sharded orchestrator).
+// index in this generator's test set (PatternIndex stays -1).  Either way
+// the index is pre-merge: mergeRun clears it and reconcileDrops assigns the
+// first detecting pattern of the merged set.
 func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair, base int) {
 	robust := g.opts.Mode == sensitize.Robust
 	for start := 0; start < len(pairs); start += faultsim.BatchSize {

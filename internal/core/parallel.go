@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/faultsim"
+	"repro/internal/logic"
 	"repro/internal/paths"
 	"repro/internal/pattern"
 	"repro/internal/sched"
@@ -14,71 +16,71 @@ import (
 	"repro/internal/testability"
 )
 
-// RunSharded generates tests for the faults like Generator.Run, but spreads
-// the work across workers goroutines, multiplying the paper's word-level bit
-// parallelism by core-level parallelism.  Each worker is a Fork of master —
-// an independent generator over the shared immutable circuit — consuming
-// work units (word-parallel fault groups) from a shared scheduler
+// RunSharded generates tests for the target faults and returns one result
+// per fault, in the same order: result i belongs to faults[i].  It is the
+// one local run path at every worker count.  The master generator is worker
+// 0 and runs on the calling goroutine; workers 1..n-1 are Forks of master —
+// independent generators over the shared immutable circuit — on their own
+// goroutines.  A single worker forks nothing.  The workers consume work
+// units (word-parallel fault groups) from a shared scheduler
 // (internal/sched).  Under Options.Schedule == sched.Static every worker
-// drains one contiguous pre-assigned run of units, reproducing the classic
-// contiguous shard split; under sched.Steal an idle worker steals queued
-// units from the most loaded peer, so clustered hard faults no longer
-// serialize on one worker.  With Options.EscalationWidth the scheduler runs
-// the two passes of adaptive grouping: a cheap fault-serial pass over every
-// fault, then wide word-parallel groups for the survivors.  When the
-// interleaved fault simulation is enabled, workers exchange their verified
-// patterns through a shared buffer, so a pattern emitted by one worker still
-// drops detected faults on the others.
+// drains one contiguous pre-assigned run of units, the classic contiguous
+// shard split; under sched.Steal an idle worker steals queued units from the
+// most loaded peer, so clustered hard faults no longer serialize on one
+// worker.  With Options.EscalationWidth the scheduler runs the two passes of
+// adaptive grouping: a cheap fault-serial pass over every fault, then wide
+// word-parallel groups for the survivors.  When the interleaved fault
+// simulation is enabled, workers exchange their verified patterns through a
+// shared buffer, so a pattern emitted by one worker still drops detected
+// faults on the others.
 //
-// The merged result slice is deterministic and input-ordered: result i
-// belongs to faults[i].  Pattern indices refer to the merged test set, which
-// is reassembled in canonical fault order — the pattern of a Tested fault
-// appears at the position its fault's input index dictates, regardless of
-// which worker generated it or in which order — so the merged set does not
-// depend on the dispatch policy or the steal interleaving.  Faults dropped
-// by a foreign worker's pattern get the index of the first pattern of the
-// merged set that detects them.  master's OnSettle callback is invoked as
-// faults settle, serialized by a mutex but in a nondeterministic
-// interleaving across workers; its OnPattern and ImportPatterns hooks are
-// not used.  Statistics are summed over the workers, so the time fields
-// report aggregate CPU time rather than wall-clock time.
+// The context bounds the run: when it is canceled or its deadline expires,
+// generation stops at the next check point and every fault that has not
+// settled yet is returned as Aborted with the cancellation cause in its Err
+// field.  Callers tell a canceled run from a completed one by ctx.Err (or
+// context.Cause) after RunSharded returns.
 //
-// When Options.Compaction is enabled, the merged test set of the run is
-// statically compacted once after the deterministic merge (reverse-order
-// fault simulation and, at compact.Full, compatible-pair merging), and the
-// PatternIndex of every covered fault is remapped onto the compacted set.
-// Compaction applies equally to the workers <= 1 path, so the sequential
-// and sharded engines stay comparable.
+// The run ends like a distributed one (RemoteRun.Run), in endRun: the run's
+// patterns are laid out in one canonical, content-derived order (mergeRun),
+// faults dropped by simulation get the first detecting pattern of that set
+// (reconcileDrops), and with Options.Compaction the run's patterns are
+// statically compacted and every covered fault's PatternIndex remapped onto
+// the compacted set (skipped for a canceled run).  With the interleaved
+// simulation off the test set is therefore the same at every worker count,
+// under either dispatch policy, and on the remote path.
 //
-// With workers <= 1 (or a single fault) the call is exactly master.Run.
-// master must not be used concurrently with RunSharded.
+// master's OnSettle callback is invoked as faults settle, serialized by a
+// mutex but in a nondeterministic interleaving across workers; the
+// PatternIndex it sees is pre-merge.  For the duration of the run master's
+// OnPattern and ImportPatterns hooks serve the cross-worker exchange; all
+// three hooks are restored when RunSharded returns.  Statistics are summed
+// over the workers, so the time fields report aggregate CPU time rather than
+// wall-clock time.  master may run several times, accumulating its test set
+// and statistics, but must not be used concurrently with RunSharded.
 func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, workers int) []FaultResult {
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-	base := master.testSet.Len()
-	if workers <= 1 {
-		results := master.Run(ctx, faults)
-		if ctx == nil || ctx.Err() == nil {
-			master.compactRun(faults, results, base)
-		}
-		return results
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	workers = max(1, min(workers, len(faults)))
+	base := master.testSet.Len()
+	master.runBase = base
+	master.foreign = nil
 
+	settle, onPattern, importPatterns := master.OnSettle, master.OnPattern, master.ImportPatterns
+	defer func() {
+		master.OnSettle, master.OnPattern, master.ImportPatterns = settle, onPattern, importPatterns
+	}()
 	var settleMu sync.Mutex
-	settle := master.OnSettle
-
 	var x *exchange
-	if master.opts.FaultSimInterval > 0 {
+	if master.opts.FaultSimInterval > 0 && workers > 1 {
 		x = newExchange(workers)
 	}
-
-	gens := make([]*Generator, workers)
-	for w := 0; w < workers; w++ {
-		g := master.Fork()
+	gens := []*Generator{master}
+	for w := 1; w < workers; w++ {
+		gens = append(gens, master.Fork())
+	}
+	for w, g := range gens {
+		g.OnSettle, g.OnPattern, g.ImportPatterns = nil, nil, nil
 		if settle != nil {
 			g.OnSettle = func(r FaultResult) {
 				settleMu.Lock()
@@ -87,11 +89,9 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 			}
 		}
 		if x != nil {
-			id := w
-			g.OnPattern = func(p pattern.Pair) { x.publish(id, p) }
-			g.ImportPatterns = func() []pattern.Pair { return x.fetch(id) }
+			g.OnPattern = func(p pattern.Pair) { x.publish(w, p) }
+			g.ImportPatterns = func() []pattern.Pair { return x.fetch(w) }
 		}
-		gens[w] = g
 	}
 
 	results, recs := newRecs(faults)
@@ -101,32 +101,93 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 		sc := sched.New(master.opts.Schedule, workers)
 		sc.Load(units)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 1; w < workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				g := gens[w]
-				start := time.Now()
-				sensAtStart := g.stats.SensitizeTime
-				g.consume(ctx, sc, w, recs, ps)
-				g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
-			}(w)
+				gens[w].consume(ctx, sc, w, recs, ps)
+			}()
 		}
+		master.consume(ctx, sc, 0, recs, ps)
 		wg.Wait()
 		master.stats.Sched.Add(sc.Stats())
 	})
 
-	master.finish(ctx, recs)
-	mergeResults(master, gens, recs, results)
-	master.reconcileDrops(results)
-
-	// Static compaction of the merged set, once, after the deterministic
-	// merge (skipped when the run was cut short: a canceled run should
-	// return promptly, and its test set is not final anyway).
-	if ctx.Err() == nil {
-		master.compactRun(faults, results, base)
+	for _, g := range gens[1:] {
+		master.absorbState(g)
 	}
+	master.endRun(ctx, faults, results, recs, base)
 	return results
+}
+
+// endRun is the tail every run shares, local (RunSharded) or distributed
+// (RemoteRun.Run): faults still pending are swept up, the run's patterns are
+// merged in canonical order, simulation drops are reconciled against the
+// merged set, and — unless the run was cut short: a canceled run should
+// return promptly, and its test set is not final anyway — the run's patterns
+// are statically compacted.
+func (g *Generator) endRun(ctx context.Context, faults []paths.Fault, results []FaultResult, recs []*rec, base int) {
+	g.finish(ctx, recs)
+	g.mergeRun(recs, base)
+	g.reconcileDrops(results)
+	if ctx.Err() == nil {
+		g.compactRun(faults, results, base)
+	}
+}
+
+// mergeRun lays the run's patterns out in one canonical, content-derived
+// order: the test set is cut back to base (dropping the working copies the
+// claim sweeps simulated against) and every Tested fault's test is re-added,
+// with its unfilled form when one was recorded, ordered by the number of 1
+// values in the filled pair (V1 plus V2), ties in fault input order.  The
+// merged set is thus a pure function of the per-fault outcomes — independent
+// of the worker count, the dispatch interleaving and, for a distributed run,
+// of which worker processed which unit — and reverse-order compaction, which
+// keeps the last patterns first, sees the same input however the run was
+// dispatched.  Tested faults get their position in the merged set;
+// DetectedBySim faults lose their pre-merge index and get the first
+// detecting pattern of the merged set from reconcileDrops.
+//
+//atpgvet:deterministic
+func (g *Generator) mergeRun(recs []*rec, base int) {
+	type keyed struct {
+		r    *rec
+		ones int
+	}
+	var tested []keyed
+	for _, r := range recs {
+		switch r.res.Status {
+		case Tested:
+			tested = append(tested, keyed{r, onesCount(r.res.Test)})
+		case DetectedBySim:
+			r.res.PatternIndex = -1
+		}
+	}
+	slices.SortStableFunc(tested, func(a, b keyed) int { return cmp.Compare(a.ones, b.ones) })
+	g.testSet.Truncate(base)
+	for _, t := range tested {
+		r := t.r
+		r.res.PatternIndex = g.testSet.Len()
+		if r.raw.Len() > 0 {
+			g.testSet.AddUnfilled(r.res.Test, r.raw, r.fault.Describe(g.c))
+		} else {
+			g.testSet.Add(r.res.Test, r.fault.Describe(g.c))
+		}
+	}
+}
+
+// onesCount is mergeRun's ordering key: the number of 1 values in V1 and V2.
+func onesCount(p pattern.Pair) int {
+	n := 0
+	for i := range p.V1 {
+		if p.V1[i] == logic.One3 {
+			n++
+		}
+		if p.V2[i] == logic.One3 {
+			n++
+		}
+	}
+	return n
 }
 
 // runPasses executes the pass sequence the options select — one fixed-width
@@ -245,51 +306,12 @@ func sortHardestFirst(idx []int, scores []int) {
 	})
 }
 
-// mergeResults reassembles the workers' output on the master, in canonical
-// fault order: walking the results by fault input index, every Tested
-// fault's pattern is appended to the master set (so the merged set's order
-// is a pure function of the per-fault outcomes, independent of the dispatch
-// interleaving), and the worker-local PatternIndex of every covered fault is
-// remapped onto the merged set.  Cross-worker simulation drops keep index -1
-// here and are reconciled by reconcileDrops.  Worker statistics and
-// learned redundant subpaths are absorbed into the master.
-//
-//atpgvet:deterministic
-func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []FaultResult) {
-	type patKey struct{ worker, index int }
-	remap := make(map[patKey]int)
-	for i := range results {
-		r := &results[i]
-		if r.Status == Tested && r.PatternIndex >= 0 {
-			k := patKey{recs[i].worker, r.PatternIndex}
-			mi := master.testSet.AddFrom(gens[k.worker].testSet, k.index)
-			remap[k] = mi
-			r.PatternIndex = mi
-		}
-	}
-	for i := range results {
-		r := &results[i]
-		if r.Status != DetectedBySim || r.PatternIndex < 0 {
-			continue
-		}
-		if mi, ok := remap[patKey{recs[i].worker, r.PatternIndex}]; ok {
-			r.PatternIndex = mi
-		} else {
-			// Unreachable while every worker pattern belongs to a Tested
-			// fault; fail safe to the foreign-drop reconciliation.
-			r.PatternIndex = -1
-		}
-	}
-	for _, g := range gens {
-		master.absorbState(g)
-	}
-}
-
 // reconcileDrops resolves the classifications that depend on the run's
 // final test set, with one parallel-pattern simulation pass:
 //
-//   - Faults dropped by a foreign worker's pattern carry no index into any
-//     worker-local set; they get the index of the first pattern of the
+//   - Faults dropped by simulation carry no index after mergeRun (their
+//     pre-merge index pointed into a worker's working set, or nowhere for
+//     a foreign pattern); they get the index of the first pattern of the
 //     merged set that detects them.
 //
 //   - While the interleaved simulation is active, faults the search proved
@@ -310,7 +332,7 @@ func (g *Generator) reconcileDrops(results []FaultResult) {
 	var idx []int
 	for i := range results {
 		switch {
-		case results[i].Status == DetectedBySim && results[i].PatternIndex < 0:
+		case results[i].Status == DetectedBySim:
 			idx = append(idx, i)
 		case results[i].Status == Redundant && g.opts.FaultSimInterval > 0:
 			idx = append(idx, i)

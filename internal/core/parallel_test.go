@@ -60,7 +60,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 					opts.FaultSimInterval = simInterval
 					opts.Schedule = schedule
 					seq := New(c, opts)
-					want := seq.Run(context.Background(), faults)
+					want := RunSharded(context.Background(), seq, faults, 1)
 					for _, workers := range []int{2, 3, 8} {
 						g := New(c, opts)
 						got := RunSharded(context.Background(), g, faults, workers)
@@ -210,7 +210,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 		base.GuidedEscalation = cfg.guided
 
 		ref := New(c, base)
-		want := ref.Run(context.Background(), faults)
+		want := RunSharded(context.Background(), ref, faults, 1)
 		wantPatterns := sortedPatterns(ref.TestSet())
 		statuses[cfg] = make([]Status, len(want))
 		for i := range want {
@@ -287,7 +287,7 @@ func TestWidthDeterminism(t *testing.T) {
 		opts.WordWidth = width
 		opts.FaultSimInterval = 0
 		g := New(c, opts)
-		res := g.Run(context.Background(), faults)
+		res := RunSharded(context.Background(), g, faults, 1)
 		got := make([]Status, len(res))
 		for i := range res {
 			if res[i].Status == Aborted {
@@ -384,7 +384,7 @@ func TestWorkStealingBeatsStaticOnSkew(t *testing.T) {
 	// Probe a sample for the most and least expensive faults.
 	sample := paths.SampleFaults(c, 96, 7)
 	probe := New(c, opts)
-	res := probe.Run(context.Background(), sample)
+	res := RunSharded(context.Background(), probe, sample, 1)
 	hard, easy, hardCost, easyCost := 0, 0, -1, int(^uint(0)>>1)
 	for i, r := range res {
 		cost := r.Decisions + 16*r.Backtracks
@@ -451,12 +451,12 @@ func TestEscalationAdaptiveGrouping(t *testing.T) {
 		fixed := DefaultOptions(sensitize.Robust)
 		fixed.FaultSimInterval = 0
 		gf := New(c, fixed)
-		gf.Run(context.Background(), faults)
+		RunSharded(context.Background(), gf, faults, 1)
 
 		adaptive := fixed
 		adaptive.EscalationWidth = 32
 		ga := New(c, adaptive)
-		ga.Run(context.Background(), faults)
+		RunSharded(context.Background(), ga, faults, 1)
 
 		sf, sa := gf.Stats(), ga.Stats()
 		if sa.FirstPassSettled+sa.Escalated != sa.Faults {
@@ -487,7 +487,7 @@ func TestEscalationAdaptiveGrouping(t *testing.T) {
 		guided := adaptive
 		guided.GuidedEscalation = true
 		gg := New(c, guided)
-		gg.Run(context.Background(), faults)
+		RunSharded(context.Background(), gg, faults, 1)
 		sg := gg.Stats()
 		if sg.FirstPassSettled+sg.Escalated != sg.Faults {
 			t.Errorf("%s guided: first-pass %d + escalated %d != faults %d",
@@ -574,4 +574,81 @@ func TestCancellationDrainsQueue(t *testing.T) {
 	if got := st.Tested + st.Redundant + st.Aborted + st.DetectedBySim; got != st.Faults {
 		t.Errorf("statuses sum to %d, want %d", got, st.Faults)
 	}
+}
+
+// TestRunLeavesMasterClean runs one generator twice — two workers with the
+// interleaved simulation on, then one worker — and checks that a run leaves
+// no run-scoped state behind on the master: its OnSettle, OnPattern and
+// ImportPatterns hooks are back to their pre-run values after each run, and
+// the second run's claim sweeps see none of the foreign patterns the master
+// imported from the other worker during the first.
+func TestRunLeavesMasterClean(t *testing.T) {
+	c, err := bench.Get("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := paths.SampleFaults(c, 256, 3)
+	// Escalation makes the foreign import deterministic: the escalation
+	// pass starts after the first pass has finished on both workers, so the
+	// master's first claim in it imports the other worker's first-pass
+	// patterns whatever the goroutine interleaving.
+	opts := DefaultOptions(sensitize.Robust)
+	opts.EscalationWidth = 8
+	g := New(c, opts)
+
+	// The caller's hooks count their calls.  In the second (one-worker) run
+	// OnSettle also checks the master's foreign buffer: with one worker the
+	// callback runs on the master's goroutine.
+	var mu sync.Mutex
+	var calls [3]int
+	count := func(i int) { mu.Lock(); calls[i]++; mu.Unlock() }
+	checkForeign := false
+	base := 0
+	g.OnSettle = func(r FaultResult) {
+		count(0)
+		if !checkForeign {
+			return
+		}
+		if len(g.foreign) != 0 {
+			t.Fatalf("second run sees %d foreign patterns from the first", len(g.foreign))
+		}
+		if r.Status == DetectedBySim && r.PatternIndex < base {
+			t.Errorf("fault %s dropped by pattern %d, not one of this run's (from %d)",
+				r.Fault.Key(), r.PatternIndex, base)
+		}
+	}
+	g.OnPattern = func(pattern.Pair) { count(1) }
+	g.ImportPatterns = func() []pattern.Pair { count(2); return nil }
+	hooksRestored := func(run string) {
+		t.Helper()
+		if g.OnSettle == nil || g.OnPattern == nil || g.ImportPatterns == nil {
+			t.Fatalf("%s: a master hook was left nil", run)
+		}
+		before := calls
+		g.OnSettle(FaultResult{})
+		g.OnPattern(pattern.Pair{})
+		g.ImportPatterns()
+		for i, name := range []string{"OnSettle", "OnPattern", "ImportPatterns"} {
+			if calls[i] != before[i]+1 {
+				t.Errorf("%s: master %s is not the caller's hook after the run", run, name)
+			}
+		}
+	}
+
+	RunSharded(context.Background(), g, faults, 2)
+	if calls[0] != len(faults) {
+		t.Fatalf("first run settled %d faults through OnSettle, want %d", calls[0], len(faults))
+	}
+	if calls[1] != 0 || calls[2] != 0 {
+		t.Errorf("the run called the caller's OnPattern %d and ImportPatterns %d times; the exchange must replace them",
+			calls[1], calls[2])
+	}
+	if len(g.foreign) == 0 {
+		t.Fatal("the master imported no foreign pattern in the two-worker run; the scenario does not exercise the reset")
+	}
+	hooksRestored("two workers")
+
+	checkForeign, base = true, g.TestSet().Len()
+	RunSharded(context.Background(), g, faults, 1)
+	hooksRestored("one worker")
 }

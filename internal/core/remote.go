@@ -13,32 +13,33 @@ import (
 // This file is the core's half of the distributed engine (internal/service):
 // the worker side processes single work units shipped over the wire
 // (ProcessRemoteUnit), the coordinator side drives the same pass pipeline as
-// Run/RunSharded but hands the units to a dispatch callback instead of local
+// RunSharded but hands the units to a dispatch callback instead of local
 // goroutines (RemoteRun), and the client side folds a finished remote run
 // back into a local generator (ImportRemoteRun).
 //
 // The determinism contract is the one RunSharded already guarantees: a unit's
 // outcome under FaultSimInterval == 0 is a pure function of (circuit,
 // options, pass spec, unit faults) — the search never looks at any other
-// fault's state — and the merged test set is reassembled in canonical fault
-// input order.  Because unit outcomes are pure, processing a unit more than
-// once (a lease requeued after a worker died, with the original worker's
-// result arriving late) yields the same outcome, and RemoteRun.Apply is
-// first-write-wins per fault, so at-least-once dispatch cannot change any
-// classification.  With the interleaved simulation on, outcomes additionally
+// fault's state — and the merged test set is laid out by the same canonical
+// merge (mergeRun), a pure function of the per-fault outcomes, so a remote
+// run writes the same test set as a local one at any worker count.  Because
+// unit outcomes are pure, processing a unit more than once (a lease
+// requeued after a worker died, with the original worker's result arriving
+// late) yields the same outcome, and RemoteRun.Apply is first-write-wins
+// per fault, so at-least-once dispatch cannot change any classification.  With the interleaved simulation on, outcomes additionally
 // depend on which patterns arrived before the claim, so — exactly as across
 // local workers — only the coverage class (Tested vs DetectedBySim) is
 // stable, not the individual statuses.  The exception is one worker on each
 // side: a local run and a remote worker drop faults by the same claim sweep
 // (claimSweep, then processUnit), both see the patterns in unit order, and
-// so every status matches.
+// so every status, pattern index and the merged test set match.
 
 // RemoteOutcome is the outcome of one fault of a remotely processed work
 // unit, as reported back by a worker.  It carries everything the coordinator
 // needs for the canonical merge; pattern indices are deliberately absent
 // (worker-local test-set indices mean nothing on the coordinator — the
-// merge assigns indices in fault input order, and simulation drops are
-// reconciled against the final merged set).
+// canonical merge assigns the indices of Tested faults, and simulation drops
+// are reconciled against the final merged set).
 type RemoteOutcome struct {
 	Status Status
 	Phase  Phase
@@ -78,8 +79,7 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
-	sensAtStart := g.stats.SensitizeTime
+	defer g.addGenerateTime(time.Now(), g.stats.SensitizeTime)
 
 	_, recs := newRecs(faults)
 	if len(foreign) > 0 {
@@ -87,8 +87,6 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 	}
 	g.claimSweep(recs)
 	g.processUnit(ctx, recs, spec)
-
-	g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
 
 	out := make([]RemoteOutcome, len(recs))
 	for i, r := range recs {
@@ -99,10 +97,7 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 			Backtracks: r.res.Backtracks,
 		}
 		if r.res.Status == Tested {
-			o.Test = r.res.Test
-			if g.opts.EmitUnfilled && r.res.PatternIndex >= 0 {
-				o.Raw = g.testSet.UnfilledAt(r.res.PatternIndex)
-			}
+			o.Test, o.Raw = r.res.Test, r.raw
 		}
 		out[i] = o
 	}
@@ -110,7 +105,7 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 }
 
 // RemoteRun is the coordinator side of a distributed run: the same pipeline
-// as Run/RunSharded — pass cutting, canonical merge, drop reconciliation,
+// as RunSharded — pass cutting, canonical merge, drop reconciliation,
 // static compaction — with the unit processing replaced by a dispatch
 // callback.  The caller (internal/service) owns the transport: it leases the
 // units of each pass to workers, feeds their reported outcomes to Apply, and
@@ -129,8 +124,7 @@ type RemoteRun struct {
 	recs    []*rec
 	base    int
 
-	mu       sync.Mutex
-	outcomes []RemoteOutcome
+	mu sync.Mutex
 }
 
 // NewRemoteRun prepares a distributed run of the faults on the master
@@ -141,12 +135,11 @@ func NewRemoteRun(master *Generator, faults []paths.Fault) *RemoteRun {
 	results, recs := newRecs(faults)
 	master.stats.Faults += len(faults)
 	return &RemoteRun{
-		master:   master,
-		faults:   faults,
-		results:  results,
-		recs:     recs,
-		base:     master.testSet.Len(),
-		outcomes: make([]RemoteOutcome, len(faults)),
+		master:  master,
+		faults:  faults,
+		results: results,
+		recs:    recs,
+		base:    master.testSet.Len(),
 	}
 }
 
@@ -182,8 +175,10 @@ func (rr *RemoteRun) Apply(unit []int, outcomes []RemoteOutcome) []int {
 		r.res.Phase = o.Phase
 		if o.Status == Tested {
 			r.res.Test = o.Test
+			if m.opts.EmitUnfilled {
+				r.raw = o.Raw
+			}
 		}
-		rr.outcomes[fi] = o
 		switch o.Status {
 		case Tested:
 			m.stats.Tested++
@@ -225,11 +220,11 @@ func (rr *RemoteRun) AddEffort(d Stats) {
 // weighting included) and hands each pass's units to dispatch, which must
 // not return before every unit of the pass has been processed and applied
 // (see the synchronization contract on RemoteRun).  After the passes it
-// finishes exactly like RunSharded: pending faults are swept up (carrying
-// the cancellation cause when ctx ended the run), the test set is merged in
-// canonical fault order, simulation drops are reconciled against the merged
-// set, and the run's patterns are statically compacted.  The results are
-// input-ordered: result i belongs to fault i.
+// ends in the tail RunSharded shares (endRun): pending faults are swept up
+// (carrying the cancellation cause when ctx ended the run), the test set is
+// merged in canonical order, simulation drops are reconciled against the
+// merged set, and the run's patterns are statically compacted.  The results
+// are input-ordered: result i belongs to fault i.
 func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit, spec PassSpec)) []FaultResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -241,42 +236,8 @@ func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit, 
 		}
 		dispatch(units, ps)
 	})
-	m.finish(ctx, rr.recs)
-	rr.mergeOutcomes()
-	m.reconcileDrops(rr.results)
-	if ctx.Err() == nil {
-		m.compactRun(rr.faults, rr.results, rr.base)
-	}
+	m.endRun(ctx, rr.faults, rr.results, rr.recs, rr.base)
 	return rr.results
-}
-
-// mergeOutcomes reassembles the workers' patterns on the master in canonical
-// fault order: walking the results by fault input index, every Tested
-// fault's pattern is appended to the master's test set, so the merged set is
-// a pure function of the per-fault outcomes — independent of which worker
-// processed which unit, of lease requeues and of result arrival order — and
-// identical to the merged set of a local sharded run with the same
-// per-fault outcomes.  DetectedBySim faults keep index -1 here and get the
-// first detecting pattern of the merged set from reconcileDrops.
-//
-//atpgvet:deterministic
-func (rr *RemoteRun) mergeOutcomes() {
-	m := rr.master
-	for i := range rr.results {
-		r := &rr.results[i]
-		if r.Status != Tested {
-			continue
-		}
-		o := rr.outcomes[i]
-		idx := m.testSet.Len()
-		target := rr.faults[i].Describe(m.c)
-		if m.opts.EmitUnfilled && o.Raw.Len() > 0 {
-			m.testSet.AddUnfilled(o.Test, o.Raw, target)
-		} else {
-			m.testSet.Add(o.Test, target)
-		}
-		r.PatternIndex = idx
-	}
 }
 
 // EffortDelta returns the search-effort counters accumulated between the

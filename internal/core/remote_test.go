@@ -68,8 +68,9 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 // bit-identical.  With it on, outcomes depend on pattern arrival order: at
 // two workers — as across local workers — only the coverage class and the
 // redundancy proofs must match, but at one worker both sides drop faults by
-// the same claim sweep in unit order, so every status and classification
-// counter must match too.
+// the same claim sweep in unit order and end in the same canonical merge,
+// so every status, pattern index, classification counter and the
+// serialized test set must match too.
 func TestRemoteRunMatchesLocal(t *testing.T) {
 	configs := []struct{ workers, sim, escalate int }{
 		{2, 0, 8}, {2, 8, 8},
@@ -112,7 +113,7 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 					t.Errorf("%s: fault %s is %v remote, %v local (coverage class moved)",
 						id, got[i].Fault.Key(), got[i].Status, want[i].Status)
 				}
-				if cfg.sim == 0 && got[i].PatternIndex != want[i].PatternIndex {
+				if exact && got[i].PatternIndex != want[i].PatternIndex {
 					t.Errorf("%s: fault %s pattern index %d remote, %d local",
 						id, got[i].Fault.Key(), got[i].PatternIndex, want[i].PatternIndex)
 				}
@@ -124,7 +125,7 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 				ls.Escalated != rs.Escalated) {
 				t.Errorf("%s: classification stats differ: local %+v remote %+v", id, ls, rs)
 			}
-			if cfg.sim == 0 {
+			if exact {
 				var lb, rb strings.Builder
 				if err := local.TestSet().Write(&lb); err != nil {
 					t.Fatal(err)
@@ -189,7 +190,7 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 			st.Patterns, master.TestSet().Len(), st.Tested)
 	}
 	seq := New(c, opts)
-	want := seq.Run(context.Background(), faults)
+	want := RunSharded(context.Background(), seq, faults, 1)
 	for i := range results {
 		if results[i].Status != want[i].Status {
 			t.Errorf("fault %s: %v remote, %v sequential", results[i].Fault.Key(), results[i].Status, want[i].Status)

@@ -35,8 +35,8 @@ func benchText(tb testing.TB, name string) (*circuit.Circuit, string) {
 }
 
 // localRun is the single-process baseline a distributed run must match:
-// a sharded in-process run, whose canonical fault-order merge + compaction
-// is exactly the pipeline distributed results flow through.  (Statuses are
+// a sharded in-process run, whose canonical merge + compaction is exactly
+// the pipeline distributed results flow through.  (Statuses are
 // in turn identical to the sequential generator's — that is the engine's
 // own determinism contract, covered by the core tests.)
 func localRun(t *testing.T, c *circuit.Circuit, opts JobOptions, faults []paths.Fault) ([]core.FaultResult, string, core.Stats) {
